@@ -1,9 +1,13 @@
 //! Microbenchmarks of the from-scratch binary16 conversions — the
 //! half-precision storage path of §4 narrows/widens on every feature
 //! load and store, so these conversions sit on the kernel's hot path.
+//! The row cases time `FactorMatrix<F16>::load_row`/`store_row`, the loops
+//! the stale-additive engine runs per update; next to the scalar cases
+//! they show whether the conversions vectorize.
 
 use cumf_bench::micro::{bench, black_box};
 use cumf_core::half::F16;
+use cumf_core::FactorMatrix;
 
 fn main() {
     const N: usize = 4096;
@@ -31,4 +35,22 @@ fn main() {
         }
         black_box(acc);
     });
+
+    for k in [16u32, 32, 128] {
+        let rows = (N as u32) / k;
+        let mut m: FactorMatrix<F16> = FactorMatrix::from_f32_slice(rows, k, &floats);
+        let mut row = vec![0.0f32; k as usize];
+        bench(&format!("half_convert/load_row/{k}"), N as u64, || {
+            for r in 0..rows {
+                black_box(&m).load_row(r, &mut row);
+                black_box(&row);
+            }
+        });
+        bench(&format!("half_convert/store_row/{k}"), N as u64, || {
+            for r in 0..rows {
+                black_box(&mut m)
+                    .store_row(r, black_box(&floats[(r * k) as usize..][..k as usize]));
+            }
+        });
+    }
 }

@@ -213,17 +213,18 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
             }
         }
         if s > 1 {
-            round_rows.sort_unstable();
-            if round_rows.windows(2).any(|w| w[0] == w[1]) {
-                stats.row_collisions += 1;
-            }
-            round_cols.sort_unstable();
-            if round_cols.windows(2).any(|w| w[0] == w[1]) {
-                stats.col_collisions += 1;
-            }
+            stats.row_collisions += u64::from(has_duplicate(&mut round_rows));
+            stats.col_collisions += u64::from(has_duplicate(&mut round_cols));
         }
     }
     stats
+}
+
+/// Sorts a round's row (or column) ids and reports whether two workers
+/// touched the same one.
+fn has_duplicate(ids: &mut [u32]) -> bool {
+    ids.sort_unstable();
+    ids.windows(2).any(|w| w[0] == w[1])
 }
 
 /// One epoch of round-snapshot reads + additive commits (the Hogwild!
@@ -256,6 +257,8 @@ pub fn stale_additive_epoch<E: Element, S: UpdateStream + ?Sized>(
     let mut snap_bv = vec![0.0f32; s];
     let mut dbu = vec![0.0f32; s];
     let mut dbv = vec![0.0f32; s];
+    let mut rows: Vec<u32> = Vec::with_capacity(s);
+    let mut cols: Vec<u32> = Vec::with_capacity(s);
 
     while live > 0 {
         stats.rounds += 1;
@@ -291,18 +294,14 @@ pub fn stale_additive_epoch<E: Element, S: UpdateStream + ?Sized>(
             }
         }
         // Collision accounting.
-        {
-            let mut rows: Vec<u32> = round.iter().map(|&(u, _)| u).collect();
-            rows.sort_unstable();
-            if rows.windows(2).any(|w| w[0] == w[1]) {
-                stats.row_collisions += 1;
-            }
-            let mut cols: Vec<u32> = round.iter().map(|&(_, v)| v).collect();
-            cols.sort_unstable();
-            if cols.windows(2).any(|w| w[0] == w[1]) {
-                stats.col_collisions += 1;
-            }
-        }
+        rows.clear();
+        rows.extend(round.iter().map(|&(u, _)| u));
+        let row_collision = has_duplicate(&mut rows);
+        cols.clear();
+        cols.extend(round.iter().map(|&(_, v)| v));
+        let col_collision = has_duplicate(&mut cols);
+        stats.row_collisions += u64::from(row_collision);
+        stats.col_collisions += u64::from(col_collision);
         // Phase 2: compute deltas against the snapshot.
         for idx in 0..round.len() {
             let lo = idx * k;
@@ -334,20 +333,30 @@ pub fn stale_additive_epoch<E: Element, S: UpdateStream + ?Sized>(
             }
         }
         // Phase 3: additive commit (colliding corrections stack — the
-        // Hogwild! overshoot).
-        let mut acc = vec![0.0f32; k];
+        // Hogwild! overshoot). The snapshot slots are free now and become
+        // the accumulators. In a round where no two workers share a P row,
+        // each row still holds exactly its snapshot (widening is exact and
+        // nobody else wrote it), so the commit skips the reload; otherwise
+        // it reloads to stack on the corrections committed before it. The
+        // same holds for Q columns.
         for (idx, &(u, v)) in round.iter().enumerate() {
-            let lo = idx * k;
-            model.p.load_row(u, &mut acc);
-            for (a, d) in acc.iter_mut().zip(&dp[lo..lo + k]) {
+            let (lo, hi) = (idx * k, (idx + 1) * k);
+            let acc = &mut snap_p[lo..hi];
+            if row_collision {
+                model.p.load_row(u, acc);
+            }
+            for (a, d) in acc.iter_mut().zip(&dp[lo..hi]) {
                 *a += d;
             }
-            model.p.store_row(u, &acc);
-            model.q.load_row(v, &mut acc);
-            for (a, d) in acc.iter_mut().zip(&dq[lo..lo + k]) {
+            model.p.store_row(u, acc);
+            let acc = &mut snap_q[lo..hi];
+            if col_collision {
+                model.q.load_row(v, acc);
+            }
+            for (a, d) in acc.iter_mut().zip(&dq[lo..hi]) {
                 *a += d;
             }
-            model.q.store_row(v, &acc);
+            model.q.store_row(v, acc);
             if let Some(bias) = model.bias.as_deref_mut() {
                 bias.user[u as usize] += dbu[idx];
                 bias.item[v as usize] += dbv[idx];
@@ -395,8 +404,8 @@ pub fn threaded_epoch<E: Element>(
 mod tests {
     use super::*;
     use crate::engine::model::{BiasTerms, EngineModel};
-    use crate::feature::FactorMatrix;
-    use crate::sched::SerialStream;
+    use crate::half::F16;
+    use crate::sched::{BatchHogwildStream, SerialStream};
     use cumf_rng::ChaCha8Rng;
     use cumf_rng::SeedableRng;
 
@@ -445,27 +454,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unbiased_stale_matches_concurrent_engine_bitwise() {
-        // The extracted epoch body must be bit-identical to the historical
-        // `concurrent::run_epoch` path it replaced.
-        let data = tiny_data();
-        let mut m = unbiased_model(5);
-        let (mut p2, mut q2) = (m.p.clone(), m.q.clone());
-        let mut s1 = SerialStream::new(data.nnz());
-        let mut s2 = SerialStream::new(data.nnz());
-        stale_additive_epoch(&data, m.view(), &mut s1, 0.05, 0.01);
-        crate::concurrent::run_epoch(
-            &data,
-            &mut p2,
-            &mut q2,
-            &mut s2,
-            0.05,
-            0.01,
-            ExecMode::StaleAdditive,
+    /// A small Zipf-skewed data set: 8 batch-Hogwild! workers over 60 rows
+    /// and 50 columns collide in many rounds but not in all, so both commit
+    /// paths of [`stale_additive_epoch`] run.
+    fn collision_heavy() -> cumf_data::synth::SynthDataset {
+        cumf_data::synth::generate(&cumf_data::synth::SynthConfig {
+            m: 60,
+            n: 50,
+            k_true: 4,
+            train_samples: 3_000,
+            test_samples: 300,
+            noise_std: 0.1,
+            row_skew: 0.8,
+            col_skew: 0.8,
+            rating_offset: 3.0,
+            seed: 23,
+        })
+    }
+
+    /// Golden `(P digest, Q digest, test-RMSE bits)` of a collision-heavy
+    /// unbiased batch-Hogwild! `train()` on the stale-additive engine.
+    fn unbiased_golden<E: Element>() -> (u64, u64, u64) {
+        use crate::solver::{train, Scheme, SolverConfig};
+        let d = collision_heavy();
+        let mut config = SolverConfig::new(
+            8,
+            Scheme::BatchHogwild {
+                workers: 8,
+                batch: 16,
+            },
         );
-        assert_eq!(m.p, p2);
-        assert_eq!(m.q, q2);
+        config.epochs = 6;
+        config.seed = 7;
+        config.mode = Some(ExecMode::StaleAdditive);
+        let r = train::<E>(&d.train, &d.test, &config, None);
+        assert_eq!(r.exec_mode, ExecMode::StaleAdditive);
+        let sum = |f: fn(&EpochStats) -> u64| r.epoch_stats.iter().map(f).sum::<u64>();
+        let rounds = sum(|s| s.rounds);
+        assert!((1..rounds).contains(&sum(|s| s.row_collisions)));
+        assert!((1..rounds).contains(&sum(|s| s.col_collisions)));
+        let rmse = r.trace.final_rmse().unwrap();
+        (r.p.digest(), r.q.digest(), rmse.to_bits())
+    }
+
+    /// The same for the biased model, driving the engine epoch by epoch.
+    fn biased_golden<E: Element>() -> (u64, u64, u64) {
+        let d = collision_heavy();
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut m: EngineModel<E> = EngineModel::init_biased(&d.train, 8, &mut rng);
+        let mut stream = BatchHogwildStream::new(d.train.nnz(), 8, 16);
+        for epoch in 0..6 {
+            stream.begin_epoch(epoch);
+            stale_additive_epoch(&d.train, m.view(), &mut stream, 0.03, 0.02);
+        }
+        (m.p.digest(), m.q.digest(), m.rmse(&d.test).to_bits())
+    }
+
+    #[test]
+    fn stale_additive_golden_digests() {
+        // Pinned from the engine before the FP16 conversion rewrite and the
+        // snapshot-reusing commit: any flipped bit in either precision, on
+        // either model, fails here.
+        assert_eq!(
+            unbiased_golden::<f32>(),
+            (0x4cf7b9ef4bb9a67c, 0x848f0cf5cddfab1c, 0x3fd25a9104b25bf3)
+        );
+        assert_eq!(
+            unbiased_golden::<F16>(),
+            (0xc2439dad59a94c60, 0x62a7ba70012adfad, 0x3fd25d19f02b6cd0)
+        );
+        assert_eq!(
+            biased_golden::<f32>(),
+            (0xd128f75f0db3a409, 0x19416af6cc3ace76, 0x3fd2f3a1bc78329a)
+        );
+        assert_eq!(
+            biased_golden::<F16>(),
+            (0xef092befcaecbfd4, 0x0ea046dea5439eca, 0x3fd2f44cfd8a8e3c)
+        );
     }
 
     #[test]
@@ -516,12 +581,5 @@ mod tests {
         sequential_epoch(&data, m2.view(), &mut s2, 0.05, 0.01);
         assert_eq!(m1.p, m2.p);
         assert_eq!(m1.q, m2.q);
-    }
-
-    #[test]
-    fn _unused_model_helper() {
-        // Keep the FactorMatrix import exercised for the f32 helper path.
-        let m: FactorMatrix<f32> = FactorMatrix::from_f32_slice(1, 1, &[1.0]);
-        assert_eq!(m.row(0), &[1.0]);
     }
 }

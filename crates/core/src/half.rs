@@ -9,6 +9,40 @@
 //! Only storage conversions are needed — all arithmetic happens in f32,
 //! exactly as in the CUDA kernel (loads widen to f32 registers, stores
 //! narrow back).
+//!
+//! # Why the conversions are branch-free and `#[inline]`
+//!
+//! A factor row is loaded and stored as a loop of k conversions
+//! ([`crate::FactorMatrix::load_row`]/`store_row`), so the conversions
+//! must be something LLVM can vectorize: straight-line bit arithmetic
+//! whose three cases (normal, subnormal, Inf/NaN) are all computed and
+//! then picked with selects. That works on the baseline x86-64 target,
+//! without `unsafe`, target features, or intrinsics.
+//!
+//! `#[inline]` is load-bearing. `from_f32`/`to_f32` are non-generic, so
+//! without it they are compiled once inside `cumf-core` and every other
+//! crate — the benchmark, the serving layer — calls them out of line
+//! once per element, which also rules out vectorizing the row loop there
+//! (the `#[inline(always)]` on the [`crate::feature::Element`] wrappers
+//! cannot inline a body it cannot see).
+//!
+//! The narrowing uses F. Giesen's round-to-nearest-even scheme. Normals
+//! rebias the exponent and add `0xFFF` plus the kept mantissa's odd bit
+//! before shifting out 13 bits. Subnormal results come from the FPU
+//! itself: `|x| + 0.5` puts the f32 ulp of the sum (2⁻²⁴, since the sum
+//! lies in [0.5, 1)) on the binary16 subnormal step, so the add rounds
+//! `|x|` to a multiple of 2⁻²⁴ and the sum's mantissa bits are the
+//! binary16 result. The add always rounds this way because Rust code
+//! runs in the default floating-point environment (the compiler treats
+//! a changed rounding mode, or FTZ/DAZ, as undefined behaviour): every
+//! f32 add rounds to nearest-even and subnormal inputs are not flushed.
+//! Widening is exact in all cases; subnormal inputs become `m · 2⁻²⁴`,
+//! an ordinary f32 normal.
+//!
+//! Both directions agree bit for bit with the original branchy
+//! converters on every input (all 2³² f32 patterns, all 2¹⁶ binary16
+//! patterns); `crates/core/tests/half_conformance.rs` keeps those as its
+//! oracle.
 
 /// An IEEE 754 binary16 value: 1 sign bit, 5 exponent bits, 10 mantissa
 /// bits. Range ±65504, ~3 decimal digits of precision.
@@ -40,82 +74,63 @@ impl F16 {
     }
 
     /// Converts from f32 with round-to-nearest-even.
+    ///
+    /// Branch-free (see the module docs): every lane computes the normal,
+    /// subnormal and Inf/NaN candidates and a select picks one, so a loop
+    /// over a row vectorizes.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
         let bits = value.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let mant = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Inf / NaN. Preserve NaN-ness with a quiet-NaN payload bit.
-            return if mant == 0 {
-                F16(sign | 0x7C00)
-            } else {
-                F16(sign | 0x7E00)
-            };
-        }
-
-        // Unbiased exponent; f32 bias 127, f16 bias 15.
-        let unbiased = exp - 127;
-        if unbiased > 15 {
-            // Overflow -> infinity.
-            return F16(sign | 0x7C00);
-        }
-        if unbiased >= -14 {
-            // Normal range: drop 13 mantissa bits with RNE.
-            let mant16 = (mant >> 13) as u16;
-            let half_exp = ((unbiased + 15) as u16) << 10;
-            let rest = mant & 0x1FFF;
-            let mut out = sign | half_exp | mant16;
-            // Round: up if remainder > half, or exactly half and LSB set.
-            if rest > 0x1000 || (rest == 0x1000 && (mant16 & 1) == 1) {
-                out += 1; // Carries correctly into the exponent on overflow.
-            }
-            return F16(out);
-        }
-        if unbiased >= -25 {
-            // Subnormal f16: the target is mant16 = round(value / 2^-24)
-            // = round(full_mant * 2^(unbiased+1)), i.e. a right shift of
-            // the 24-bit significand by (-unbiased - 1) ∈ 14..=24.
-            // unbiased == -25 is included: mant16 shifts to 0, but a
-            // value strictly above 2^-25 (rest > half) must round up to
-            // the smallest subnormal, not flush to zero; exactly 2^-25
-            // ties to the even pattern 0x0000.
-            let full_mant = mant | 0x0080_0000;
-            let shift = (-1 - unbiased) as u32;
-            let mant16 = (full_mant >> shift) as u16;
-            let rest = full_mant & ((1u32 << shift) - 1);
-            let half = 1u32 << (shift - 1);
-            let mut out = sign | mant16;
-            if rest > half || (rest == half && (mant16 & 1) == 1) {
-                out += 1;
-            }
-            return F16(out);
-        }
-        // Underflow to (signed) zero.
-        F16(sign)
+        let abs = bits & 0x7FFF_FFFF;
+        // Normal: rebias the exponent 127 → 15, then add 0xFFF plus the
+        // kept mantissa's lowest bit, so the 13 dropped bits round half to
+        // even; a mantissa carry ripples into the exponent (and from 65504
+        // up into 0x7C00, infinity).
+        let odd = (abs >> 13) & 1;
+        let normal = abs.wrapping_sub(112 << 23).wrapping_add(0xFFF + odd) >> 13;
+        // Subnormal or zero: adding 0.5 aligns the f32 ulp (2⁻²⁴ at 0.5)
+        // with the binary16 subnormal step, so the FPU's round-to-nearest-
+        // even add does the rounding; the mantissa bits are the result.
+        let subnormal = (f32::from_bits(abs) + 0.5)
+            .to_bits()
+            .wrapping_sub(126 << 23);
+        // NaN (any payload) becomes the quiet NaN 0x7E00; ±∞ and every
+        // finite |x| ≥ 65536 become infinity.
+        let special = if abs > 0x7F80_0000 { 0x7E00 } else { 0x7C00 };
+        let half = if abs >= 143 << 23 {
+            special
+        } else if abs < 113 << 23 {
+            subnormal
+        } else {
+            normal
+        };
+        F16(sign | half as u16)
     }
 
     /// Converts to f32 exactly (every f16 value is representable in f32).
+    ///
+    /// Branch-free, like [`F16::from_f32`].
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & 0x8000) as u32) << 16;
-        let exp = ((self.0 >> 10) & 0x1F) as u32;
-        let mant = (self.0 & 0x03FF) as u32;
-        let bits = match (exp, mant) {
-            (0, 0) => sign, // signed zero
-            (0, m) => {
-                // Subnormal: renormalise. Zeros before the leading one
-                // within the 10-bit field = u32 leading zeros - 22.
-                let lz = m.leading_zeros() - 22;
-                let shifted = m << (lz + 1); // leading one lands at bit 10
-                let exp32 = 127 - 15 - lz; // = 112 - field_lz
-                sign | (exp32 << 23) | ((shifted & 0x03FF) << 13)
-            }
-            (0x1F, 0) => sign | 0x7F80_0000,             // infinity
-            (0x1F, m) => sign | 0x7F80_0000 | (m << 13), // NaN
-            (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+        let h = u32::from(self.0);
+        let sign = (h & 0x8000) << 16;
+        let em = h & 0x7FFF;
+        // Normal: shift exponent and mantissa into place, rebias 15 → 127.
+        let normal = (em << 13) + (112 << 23);
+        // Inf/NaN: rebias once more so the exponent field saturates at
+        // 0xFF; the NaN payload rides along in the mantissa.
+        let special = normal + (112 << 23);
+        // Subnormal or zero: m · 2⁻²⁴, exact, and never an f32 denormal.
+        let subnormal = ((em as i32 as f32) * (1.0 / 16_777_216.0)).to_bits();
+        let bits = if em >= 0x7C00 {
+            special
+        } else if em < 0x0400 {
+            subnormal
+        } else {
+            normal
         };
-        f32::from_bits(bits)
+        f32::from_bits(sign | bits)
     }
 
     /// True if this value is NaN.
@@ -135,12 +150,14 @@ impl F16 {
 }
 
 impl From<f32> for F16 {
+    #[inline]
     fn from(x: f32) -> Self {
         F16::from_f32(x)
     }
 }
 
 impl From<F16> for f32 {
+    #[inline]
     fn from(x: F16) -> Self {
         x.to_f32()
     }

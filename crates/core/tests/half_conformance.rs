@@ -13,9 +13,155 @@
 //!   cases, subnormals included), both overflow boundaries around
 //!   65504/65520, and a deterministic pseudo-random f32 sweep;
 //! * NaNs stay NaN in both directions.
+//!
+//! A second oracle, `legacy_from_f32`/`legacy_to_f32`, is the original
+//! branchy field-by-field converter pair that `half.rs` shipped before
+//! its conversions became branch-free. The production pair must match it
+//! bit for bit, NaN payloads and signs included: on a strided subset of
+//! the f32 space by default, and on all 2³² inputs in the `#[ignore]`d
+//! exhaustive test (run it in release:
+//! `cargo test --release -p cumf-core --test half_conformance -- --ignored`).
 
 use cumf_core::half::{F16_MAX_F32, F16_MIN_POSITIVE_SUBNORMAL_F32};
 use cumf_core::F16;
+
+/// The original `F16::from_f32`, kept verbatim as an oracle: decode the
+/// f32 fields, then round each exponent range with explicit branches.
+fn legacy_from_f32(value: f32) -> u16 {
+    let bits = value.to_bits();
+    let sign = ((bits >> 16) & 0x8000) as u16;
+    let exp = ((bits >> 23) & 0xFF) as i32;
+    let mant = bits & 0x007F_FFFF;
+
+    if exp == 0xFF {
+        // Inf / NaN. Preserve NaN-ness with a quiet-NaN payload bit.
+        return if mant == 0 {
+            sign | 0x7C00
+        } else {
+            sign | 0x7E00
+        };
+    }
+
+    // Unbiased exponent; f32 bias 127, f16 bias 15.
+    let unbiased = exp - 127;
+    if unbiased > 15 {
+        // Overflow -> infinity.
+        return sign | 0x7C00;
+    }
+    if unbiased >= -14 {
+        // Normal range: drop 13 mantissa bits with RNE.
+        let mant16 = (mant >> 13) as u16;
+        let half_exp = ((unbiased + 15) as u16) << 10;
+        let rest = mant & 0x1FFF;
+        let mut out = sign | half_exp | mant16;
+        // Round: up if remainder > half, or exactly half and LSB set.
+        if rest > 0x1000 || (rest == 0x1000 && (mant16 & 1) == 1) {
+            out += 1; // Carries correctly into the exponent on overflow.
+        }
+        return out;
+    }
+    if unbiased >= -25 {
+        // Subnormal f16: the target is mant16 = round(value / 2^-24)
+        // = round(full_mant * 2^(unbiased+1)), i.e. a right shift of
+        // the 24-bit significand by (-unbiased - 1) ∈ 14..=24.
+        // unbiased == -25 is included: mant16 shifts to 0, but a
+        // value strictly above 2^-25 (rest > half) must round up to
+        // the smallest subnormal, not flush to zero; exactly 2^-25
+        // ties to the even pattern 0x0000.
+        let full_mant = mant | 0x0080_0000;
+        let shift = (-1 - unbiased) as u32;
+        let mant16 = (full_mant >> shift) as u16;
+        let rest = full_mant & ((1u32 << shift) - 1);
+        let half = 1u32 << (shift - 1);
+        let mut out = sign | mant16;
+        if rest > half || (rest == half && (mant16 & 1) == 1) {
+            out += 1;
+        }
+        return out;
+    }
+    // Underflow to (signed) zero.
+    sign
+}
+
+/// The original `F16::to_f32`, kept verbatim as an oracle.
+fn legacy_to_f32(h: u16) -> f32 {
+    let sign = ((h & 0x8000) as u32) << 16;
+    let exp = ((h >> 10) & 0x1F) as u32;
+    let mant = (h & 0x03FF) as u32;
+    let bits = match (exp, mant) {
+        (0, 0) => sign, // signed zero
+        (0, m) => {
+            // Subnormal: renormalise. Zeros before the leading one
+            // within the 10-bit field = u32 leading zeros - 22.
+            let lz = m.leading_zeros() - 22;
+            let shifted = m << (lz + 1); // leading one lands at bit 10
+            let exp32 = 127 - 15 - lz; // = 112 - field_lz
+            sign | (exp32 << 23) | ((shifted & 0x03FF) << 13)
+        }
+        (0x1F, 0) => sign | 0x7F80_0000,             // infinity
+        (0x1F, m) => sign | 0x7F80_0000 | (m << 13), // NaN
+        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+    };
+    f32::from_bits(bits)
+}
+
+/// Asserts the production narrowing matches the legacy oracle on the
+/// f32 with bit pattern `bits`.
+fn assert_narrow_matches_legacy(bits: u32) {
+    let x = f32::from_bits(bits);
+    assert_eq!(
+        F16::from_f32(x).to_bits(),
+        legacy_from_f32(x),
+        "f32 bits {bits:#010x}"
+    );
+}
+
+#[test]
+fn widen_matches_legacy_on_all_patterns() {
+    for h in 0..=u16::MAX {
+        assert_eq!(
+            F16::from_bits(h).to_f32().to_bits(),
+            legacy_to_f32(h).to_bits(),
+            "f16 bits {h:#06x}"
+        );
+    }
+}
+
+#[test]
+fn narrow_matches_legacy_on_strided_f32_space() {
+    // Every binary16 value and every midpoint between neighbours (the
+    // rounding boundaries), each ±2 f32 ulps, in both signs, including
+    // the overflow midpoint 65520 and the Inf/NaN patterns …
+    for h in 0..=0x7C00u16 {
+        let value = legacy_to_f32(h).to_bits();
+        let next = if h == 0x7BFF {
+            65536.0
+        } else {
+            f64::from(legacy_to_f32(h + 1))
+        };
+        let mid = ((f64::from(legacy_to_f32(h)) + next) / 2.0) as f32;
+        for centre in [value, mid.to_bits()] {
+            for delta in -2i32..=2 {
+                let bits = centre.wrapping_add_signed(delta);
+                assert_narrow_matches_legacy(bits);
+                assert_narrow_matches_legacy(bits ^ 0x8000_0000);
+            }
+        }
+    }
+    // … plus every 4099th f32 bit pattern (4099 is prime, so the stride
+    // walks through every residue of the low mantissa bits).
+    for bits in (0..=u32::MAX).step_by(4099) {
+        assert_narrow_matches_legacy(bits);
+    }
+}
+
+#[test]
+#[ignore = "all 2^32 f32 inputs: run in release"]
+fn narrow_matches_legacy_on_every_f32() {
+    for bits in 0..=u32::MAX {
+        assert_narrow_matches_legacy(bits);
+    }
+}
 
 /// Independent binary16 decode: sign × 2^(e−15) × (1 + m/1024) for
 /// normals, sign × 2^(−14) × (m/1024) for subnormals. Exact in `f64`.
