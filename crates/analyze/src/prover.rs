@@ -10,7 +10,9 @@
 //! come back [`Verdict::Refuted`] with a concrete witness when every
 //! sample collides on a 1×1 matrix.
 
-use cumf_core::sched::{certify, BatchHogwildStream, LibmfTableStream, Verdict, WavefrontStream};
+use cumf_core::sched::{
+    certify, round_bound, BatchHogwildStream, LibmfTableStream, Verdict, WavefrontStream,
+};
 use cumf_data::coo::CooMatrix;
 use cumf_rng::{ChaCha8Rng, Rng, SeedableRng};
 
@@ -60,12 +62,6 @@ pub fn random_dataset(m: u32, n: u32, nnz: usize, seed: u64) -> CooMatrix {
         data.push(u, v, r);
     }
     data
-}
-
-/// A generous round bound: every stream in the workspace finishes an
-/// epoch well within this (stall-heavy wavefront rounds included).
-fn round_bound(data: &CooMatrix, workers: usize) -> u64 {
-    ((data.nnz() as u64) + 2) * (workers as u64 + 1) + 64
 }
 
 /// Certifies the wavefront-update schedule on `data`.

@@ -137,7 +137,7 @@ pub fn run_epoch_with<E: Element, S: UpdateStream + ?Sized>(
     let view = ModelView { p, q, bias: None };
     match mode {
         ExecMode::Sequential => {
-            crate::engine::exec::sequential_epoch(data, view, stream, gamma, lambda)
+            crate::engine::exec::sequential_epoch(data, view, stream, gamma, lambda, None)
         }
         ExecMode::StaleAdditive => {
             crate::engine::exec::stale_additive_epoch(data, view, stream, gamma, lambda)

@@ -6,6 +6,9 @@
 //!
 //! * [`StreamBackend`] — the single-device path: one [`UpdateStream`]
 //!   feeding one [`ExecEngine`] (the solver, the biased trainer);
+//! * [`CertifyingBackend`] — the single-device path for a schedule that
+//!   claims conflict-freedom: sequential execution that proves the claim
+//!   as it runs;
 //! * [`PartitionedBackend`] — §6's multi-GPU path: an i×j grid scheduled
 //!   in waves of independent blocks, each block executed with the
 //!   stale-additive engine, timed by the transfer/compute pipeline model.
@@ -23,10 +26,10 @@ use crate::concurrent::EpochStats;
 use crate::feature::Element;
 use crate::multi_gpu::EpochTiming;
 use crate::partition::{schedule_epoch, BlockId, Grid};
-use crate::sched::{BatchHogwildStream, UpdateStream};
+use crate::sched::{BatchHogwildStream, Certifier, UpdateStream};
 use crate::SgdUpdateCost;
 
-use super::exec::{stale_additive_epoch, ExecEngine};
+use super::exec::{sequential_epoch, stale_additive_epoch, ExecEngine};
 use super::model::EngineModel;
 
 /// What one epoch produced: execution statistics plus, for backends with
@@ -119,6 +122,64 @@ impl<E: Element> EpochBackend<E> for StreamBackend<'_, E> {
 
     fn name(&self) -> &'static str {
         "stream"
+    }
+}
+
+/// The single-device backend for a multi-worker schedule that claims
+/// conflict-freedom: [`sequential_epoch`] executes each epoch and feeds
+/// every round to a [`Certifier`], so the run proves its own schedule as
+/// it goes instead of replaying it first. Collect the certifier with
+/// [`CertifyingBackend::into_certifier`] once the run ends.
+pub struct CertifyingBackend<'a> {
+    data: &'a CooMatrix,
+    stream: Box<dyn UpdateStream>,
+    certifier: Certifier,
+}
+
+impl<'a> CertifyingBackend<'a> {
+    /// Builds the backend; `certifier` must already hold every epoch
+    /// before the first one this backend will run.
+    pub fn new(data: &'a CooMatrix, stream: Box<dyn UpdateStream>, certifier: Certifier) -> Self {
+        CertifyingBackend {
+            data,
+            stream,
+            certifier,
+        }
+    }
+
+    /// The certifier, holding every executed epoch.
+    pub fn into_certifier(self) -> Certifier {
+        self.certifier
+    }
+}
+
+impl<E: Element> EpochBackend<E> for CertifyingBackend<'_> {
+    fn run_epoch(
+        &mut self,
+        epoch: u32,
+        gamma: f32,
+        lambda: f32,
+        model: &mut EngineModel<E>,
+    ) -> EpochOutcome {
+        self.stream.begin_epoch(epoch);
+        self.certifier.begin_epoch(epoch);
+        let stats = sequential_epoch(
+            self.data,
+            model.view(),
+            self.stream.as_mut(),
+            gamma,
+            lambda,
+            Some(&mut self.certifier),
+        );
+        EpochOutcome::from_stats(stats)
+    }
+
+    fn workers(&self) -> u32 {
+        self.stream.workers() as u32
+    }
+
+    fn name(&self) -> &'static str {
+        "certifying"
     }
 }
 

@@ -21,7 +21,7 @@ use cumf_data::CooMatrix;
 use crate::concurrent::{threaded_hogwild_epoch, AtomicFactors, EpochStats, ExecMode};
 use crate::feature::Element;
 use crate::kernel::{sgd_delta, sgd_update};
-use crate::sched::{StreamItem, UpdateStream};
+use crate::sched::{Certifier, RoundClaims, StreamItem, UpdateStream};
 
 use super::model::ModelView;
 
@@ -69,7 +69,7 @@ impl<E: Element> ExecEngine<E> for SequentialEngine {
         gamma: f32,
         lambda: f32,
     ) -> EpochStats {
-        sequential_epoch(data, model, stream, gamma, lambda)
+        sequential_epoch(data, model, stream, gamma, lambda, None)
     }
 
     fn name(&self) -> &'static str {
@@ -135,18 +135,28 @@ pub fn engine_for<E: Element>(
 /// rows (both against the pre-update values, as in Algorithm 1).
 ///
 /// Sequential execution is only *exact* for conflict-free schedules, so
-/// this engine verifies the invariant as it goes: rounds in which two
-/// workers touch the same P row or Q column are counted in
-/// [`EpochStats::row_collisions`]/[`EpochStats::col_collisions`]. A racy
-/// schedule therefore no longer serialises *silently* — upstream callers
-/// ([`crate::solver`]) additionally refuse sequential execution unless the
-/// schedule carries a [`crate::sched::ConflictCert`].
+/// this engine checks the invariant as it goes: every sample claims its
+/// P row and Q column in the round's [`RoundClaims`], and rounds in which
+/// two workers touch the same row or column are counted in
+/// [`EpochStats::row_collisions`]/[`EpochStats::col_collisions`]. Handed a
+/// [`Certifier`] (already at [`Certifier::begin_epoch`] for this epoch),
+/// the engine runs that certifier's claim scan instead, feeding it every
+/// round in execution order: the certifier then proves the executed
+/// schedule exactly as [`crate::sched::certify`] would by replaying it,
+/// and enforces the prover's per-epoch round bound, so a deadlocking
+/// stream panics instead of spinning.
+///
+/// # Panics
+///
+/// With a certifier: if the stream schedules a sample out of `data`'s
+/// bounds, or an epoch exceeds the certifier's round bound.
 pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
     data: &CooMatrix,
     mut model: ModelView<'_, E>,
     stream: &mut S,
     gamma: f32,
     lambda: f32,
+    mut certifier: Option<&mut Certifier>,
 ) -> EpochStats {
     let s = stream.workers();
     let k = model.p.k() as usize;
@@ -155,21 +165,29 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
     let mut live = s;
     let mut pu = vec![0.0f32; k];
     let mut qv = vec![0.0f32; k];
-    let mut round_rows: Vec<u32> = Vec::with_capacity(s);
-    let mut round_cols: Vec<u32> = Vec::with_capacity(s);
+    let mut claims = RoundClaims::with_capacity(s);
     while live > 0 {
         stats.rounds += 1;
-        round_rows.clear();
-        round_cols.clear();
+        match certifier.as_deref_mut() {
+            Some(c) => c.begin_round(),
+            None => claims.clear(),
+        }
+        let (mut row_collision, mut col_collision) = (false, false);
         for (w, done) in exhausted.iter_mut().enumerate() {
             if *done {
                 continue;
             }
             match stream.next(w) {
                 StreamItem::Sample(i) => {
-                    let e = data.get(i);
-                    round_rows.push(e.u);
-                    round_cols.push(e.v);
+                    let (e, clash) = match certifier.as_deref_mut() {
+                        Some(c) => c.claim(data, w, i),
+                        None => {
+                            let e = data.get(i);
+                            (e, claims.claim(w, i, e.u, e.v))
+                        }
+                    };
+                    row_collision |= clash.row.is_some();
+                    col_collision |= clash.col.is_some();
                     match model.bias.as_deref_mut() {
                         None => {
                             // Split borrows: p and q are distinct matrices.
@@ -212,10 +230,11 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
                 }
             }
         }
-        if s > 1 {
-            stats.row_collisions += u64::from(has_duplicate(&mut round_rows));
-            stats.col_collisions += u64::from(has_duplicate(&mut round_cols));
+        if let Some(c) = certifier.as_deref_mut() {
+            c.end_round();
         }
+        stats.row_collisions += u64::from(row_collision);
+        stats.col_collisions += u64::from(col_collision);
     }
     stats
 }
@@ -437,7 +456,7 @@ mod tests {
         let mut m2 = m1.clone();
         let mut s1 = SerialStream::new(data.nnz());
         let mut s2 = SerialStream::new(data.nnz());
-        sequential_epoch(&data, m1.view(), &mut s1, 0.05, 0.01);
+        sequential_epoch(&data, m1.view(), &mut s1, 0.05, 0.01, None);
         stale_additive_epoch(&data, m2.view(), &mut s2, 0.05, 0.01);
         let b1 = m1.bias.as_ref().unwrap();
         let b2 = m2.bias.as_ref().unwrap();
@@ -534,6 +553,27 @@ mod tests {
     }
 
     #[test]
+    fn claim_scan_counts_the_collisions_a_sort_finds() {
+        // Both engines consume the same rounds; the sequential engine's
+        // claim scan must flag exactly the rounds the stale-additive
+        // engine's sort-and-scan does.
+        let d = collision_heavy();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let init: EngineModel<f32> = EngineModel::init_unbiased(&d.train, 8, &mut rng);
+        let (mut a, mut b) = (init.clone(), init);
+        let mut s1 = BatchHogwildStream::new(d.train.nnz(), 8, 16);
+        let mut s2 = BatchHogwildStream::new(d.train.nnz(), 8, 16);
+        let seq = sequential_epoch(&d.train, a.view(), &mut s1, 0.03, 0.02, None);
+        let stale = stale_additive_epoch(&d.train, b.view(), &mut s2, 0.03, 0.02);
+        assert_eq!(seq.rounds, stale.rounds);
+        assert!((1..seq.rounds).contains(&seq.row_collisions));
+        assert_eq!(
+            (seq.row_collisions, seq.col_collisions),
+            (stale.row_collisions, stale.col_collisions)
+        );
+    }
+
+    #[test]
     fn threaded_engine_runs_all_updates() {
         let data = tiny_data();
         let mut m = unbiased_model(7);
@@ -578,7 +618,7 @@ mod tests {
         let mut s2 = SerialStream::new(data.nnz());
         let mut engine = engine_for::<f32>(ExecMode::Sequential, 1, 1);
         engine.run_epoch(&data, m1.view(), &mut s1, 0.05, 0.01);
-        sequential_epoch(&data, m2.view(), &mut s2, 0.05, 0.01);
+        sequential_epoch(&data, m2.view(), &mut s2, 0.05, 0.01, None);
         assert_eq!(m1.p, m2.p);
         assert_eq!(m1.q, m2.q);
     }

@@ -27,7 +27,9 @@ pub mod model;
 pub mod observer;
 pub mod time;
 
-pub use backend::{EpochBackend, EpochOutcome, PartitionedBackend, StreamBackend};
+pub use backend::{
+    CertifyingBackend, EpochBackend, EpochOutcome, PartitionedBackend, StreamBackend,
+};
 pub use checkpoint::{load_checkpoint, save_checkpoint, ResumeState};
 pub use exec::{
     engine_for, sequential_epoch, stale_additive_epoch, threaded_epoch, ExecEngine,

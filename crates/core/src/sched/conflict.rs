@@ -18,13 +18,22 @@
 //! * returns a [`ConflictWitness`]: the first concrete counterexample
 //!   (epoch, round, worker pair, shared row/column, sample indices).
 //!
-//! [`crate::solver::train_resumable`] consumes certificates through
-//! [`resolve_exec_mode`] — [`ExecMode::Sequential`]
-//! is only selected for schedules that certified; a schedule that claims
-//! conflict-freedom but produces a witness is downgraded to the
-//! stale-additive conflict engine instead of being silently serialised.
+//! The prover is incremental: a [`Certifier`] holds the per-round claim
+//! scan, the first witness and the digest fold, and is fed one sample at
+//! a time. [`certify`] feeds it by replaying a stream on its own;
+//! [`crate::engine::sequential_epoch`] feeds it while executing the very
+//! same rounds. [`crate::solver::train_resumable`] uses the latter: a
+//! multi-worker schedule that claims conflict-freedom runs under
+//! [`ExecMode::Sequential`] and is certified as it executes (epochs the
+//! run skips — a resume prefix, the tail after a divergence stop — are
+//! replayed into the same certifier), so the verdict equals [`certify`]'s
+//! bit for bit. A schedule that claims conflict-freedom but produces a
+//! witness is not silently serialised: the solver discards the
+//! speculative run and reruns the whole budget on the stale-additive
+//! conflict engine. [`resolve_exec_mode`] is the replay-first form of the
+//! same decision.
 
-use cumf_data::CooMatrix;
+use cumf_data::{CooMatrix, Entry};
 
 use crate::concurrent::ExecMode;
 
@@ -175,13 +184,269 @@ impl Verdict {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME` to the powers 0 through 8.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut p = [1u64; 9];
+    let mut i = 1;
+    while i < 9 {
+        p[i] = p[i - 1].wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// FNV-1a over the 8 little-endian bytes of `v`. A zero byte only
+/// multiplies by the prime, so `v`'s high zero bytes fold into one
+/// multiply by a power of it.
 #[inline]
 fn fnv1a(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
+    let len = (64 - v.leading_zeros() as usize).div_ceil(8);
+    for &b in &v.to_le_bytes()[..len] {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
-    h
+    h.wrapping_mul(FNV_PRIME_POWERS[8 - len])
+}
+
+/// One round's claims on P rows and Q columns, in the order workers
+/// took their samples.
+///
+/// A round holds at most one sample per worker, so the claims are three
+/// short parallel vectors and a linear scan beats hashing or sorting.
+#[derive(Debug, Clone, Default)]
+pub struct RoundClaims {
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    /// `(worker, sample)` of each claim.
+    owners: Vec<(usize, usize)>,
+}
+
+/// The earlier claims a new sample collided with in its round, as the
+/// `(worker, sample)` that first took the same P row and Q column.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Clash {
+    /// First earlier claim on the sample's P row.
+    pub row: Option<(usize, usize)>,
+    /// First earlier claim on the sample's Q column.
+    pub col: Option<(usize, usize)>,
+}
+
+impl RoundClaims {
+    /// Empty claims sized for `workers` samples per round.
+    pub fn with_capacity(workers: usize) -> Self {
+        RoundClaims {
+            rows: Vec::with_capacity(workers),
+            cols: Vec::with_capacity(workers),
+            owners: Vec::with_capacity(workers),
+        }
+    }
+
+    /// Forgets every claim (start of a new round).
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.cols.clear();
+        self.owners.clear();
+    }
+
+    /// Records that `worker` updates `sample`, touching P row `u` and Q
+    /// column `v`, and reports what it collided with.
+    #[inline]
+    pub fn claim(&mut self, worker: usize, sample: usize, u: u32, v: u32) -> Clash {
+        let row = self
+            .rows
+            .iter()
+            .position(|&r| r == u)
+            .map(|j| self.owners[j]);
+        let col = self
+            .cols
+            .iter()
+            .position(|&c| c == v)
+            .map(|j| self.owners[j]);
+        self.rows.push(u);
+        self.cols.push(v);
+        self.owners.push((worker, sample));
+        Clash { row, col }
+    }
+}
+
+/// The prover, fed one sample at a time: the per-round claim scan, the
+/// first [`ConflictWitness`], and the FNV-1a fold of every
+/// `(epoch, round, worker, sample)` into the schedule digest.
+///
+/// Whoever drives the schedule calls [`Certifier::begin_epoch`] before
+/// each epoch, [`Certifier::begin_round`] before each round,
+/// [`Certifier::claim`] for every scheduled sample in worker order, and
+/// [`Certifier::end_round`] after each round. [`Certifier::drive`] does
+/// this for a stream on its own (the replay [`certify`] runs);
+/// [`crate::engine::sequential_epoch`] does it while executing the
+/// updates. Epochs must be fed in ascending order: the digest is a fold.
+#[derive(Debug, Clone)]
+pub struct Certifier {
+    /// Counts and digest so far; the certificate once all epochs are in.
+    cert: ConflictCert,
+    max_rounds_per_epoch: u64,
+    claims: RoundClaims,
+    witness: Option<ConflictWitness>,
+    epoch: u32,
+    round: u64,
+}
+
+impl Certifier {
+    /// A certifier for a `workers`-worker schedule named `schedule`.
+    /// Each epoch must exhaust within `max_rounds_per_epoch` rounds.
+    pub fn new(schedule: &'static str, workers: usize, max_rounds_per_epoch: u64) -> Self {
+        Certifier {
+            cert: ConflictCert {
+                schedule,
+                workers,
+                epochs_checked: 0,
+                rounds: 0,
+                samples: 0,
+                schedule_digest: FNV_OFFSET,
+            },
+            max_rounds_per_epoch,
+            claims: RoundClaims::with_capacity(workers),
+            witness: None,
+            epoch: 0,
+            round: 0,
+        }
+    }
+
+    /// Starts epoch `epoch`.
+    pub fn begin_epoch(&mut self, epoch: u32) {
+        self.cert.epochs_checked += 1;
+        self.epoch = epoch;
+        self.round = 0;
+    }
+
+    /// Starts the next round of the current epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the epoch already ran `max_rounds_per_epoch` rounds (a
+    /// scheduling deadlock).
+    #[inline]
+    pub fn begin_round(&mut self) {
+        assert!(
+            self.round < self.max_rounds_per_epoch,
+            "schedule `{}` did not exhaust within {} rounds (scheduling deadlock?)",
+            self.cert.schedule,
+            self.max_rounds_per_epoch
+        );
+        self.claims.clear();
+    }
+
+    /// Checks that `worker`'s `sample` of the current round shares no P
+    /// row or Q column with an earlier sample of the round, and returns
+    /// the sample's entry with what it collided with. The first
+    /// collision becomes the witness; later ones are only reported.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` is out of `data`'s bounds.
+    #[inline]
+    pub fn claim(&mut self, data: &CooMatrix, worker: usize, sample: usize) -> (Entry, Clash) {
+        let nnz = data.nnz();
+        assert!(
+            sample < nnz,
+            "schedule `{}` produced sample {sample} out of bounds ({nnz})",
+            self.cert.schedule
+        );
+        let e = data.get(sample);
+        let clash = self.claims.claim(worker, sample, e.u, e.v);
+        if self.witness.is_none() {
+            let first = match clash {
+                Clash { row: Some(a), .. } => Some((a, Axis::Row(e.u))),
+                Clash { col: Some(a), .. } => Some((a, Axis::Col(e.v))),
+                _ => None,
+            };
+            match first {
+                Some(((worker_a, sample_a), axis)) => {
+                    self.witness = Some(ConflictWitness {
+                        epoch: self.epoch,
+                        round: self.round,
+                        worker_a,
+                        worker_b: worker,
+                        sample_a,
+                        sample_b: sample,
+                        axis,
+                    });
+                }
+                None => {
+                    self.cert.samples += 1;
+                    let mut h = self.cert.schedule_digest;
+                    h = fnv1a(h, u64::from(self.epoch));
+                    h = fnv1a(h, self.round);
+                    h = fnv1a(h, worker as u64);
+                    h = fnv1a(h, sample as u64);
+                    self.cert.schedule_digest = h;
+                }
+            }
+        }
+        (e, clash)
+    }
+
+    /// Ends the current round.
+    #[inline]
+    pub fn end_round(&mut self) {
+        self.round += 1;
+        self.cert.rounds += 1;
+    }
+
+    /// True once a collision was seen.
+    pub fn is_refuted(&self) -> bool {
+        self.witness.is_some()
+    }
+
+    /// Drives `stream` through `epochs` without executing anything,
+    /// exactly as the execution engine would consume it
+    /// ([`UpdateStream::begin_epoch`], then one [`UpdateStream::next`]
+    /// per live worker per round). Returns at the first collision.
+    pub fn drive<S: UpdateStream + ?Sized>(
+        &mut self,
+        data: &CooMatrix,
+        stream: &mut S,
+        epochs: std::ops::Range<u32>,
+    ) {
+        let mut exhausted = vec![false; stream.workers()];
+        for epoch in epochs {
+            self.begin_epoch(epoch);
+            stream.begin_epoch(epoch);
+            exhausted.fill(false);
+            let mut live = exhausted.len();
+            while live > 0 {
+                self.begin_round();
+                for (w, done) in exhausted.iter_mut().enumerate() {
+                    if *done {
+                        continue;
+                    }
+                    match stream.next(w) {
+                        StreamItem::Sample(i) => {
+                            self.claim(data, w, i);
+                            if self.is_refuted() {
+                                return;
+                            }
+                        }
+                        StreamItem::Stall => {}
+                        StreamItem::Exhausted => {
+                            *done = true;
+                            live -= 1;
+                        }
+                    }
+                }
+                self.end_round();
+            }
+        }
+    }
+
+    /// The verdict over every epoch fed so far: the first witness, or the
+    /// certificate.
+    pub fn verdict(&self) -> Verdict {
+        match self.witness {
+            Some(w) => Verdict::Refuted(w),
+            None => Verdict::Certified(self.cert),
+        }
+    }
 }
 
 /// Drives `stream` for `epochs` epochs against `data`'s row/column access
@@ -192,8 +457,8 @@ fn fnv1a(mut h: u64, v: u64) -> u64 {
 /// [`UpdateStream::next`] per live worker per round), so the certificate
 /// covers precisely the schedule a training run over the same seed would
 /// execute. The stream is left positioned at the end of epoch
-/// `epochs - 1`; call `begin_epoch` to reuse it (all streams are
-/// deterministic, so replay is exact).
+/// `epochs - 1` (or at the witness); call `begin_epoch` to reuse it (all
+/// streams are deterministic, so replay is exact).
 ///
 /// `max_rounds_per_epoch` guards against non-terminating schedules; the
 /// prover panics if an epoch fails to exhaust within the bound (a
@@ -209,118 +474,30 @@ pub fn certify<S: UpdateStream + ?Sized>(
     epochs: u32,
     max_rounds_per_epoch: u64,
 ) -> Verdict {
-    let s = stream.workers();
-    let name = stream.name();
-    if s <= 1 {
-        // Still drive the schedule (digest + termination check is useful),
-        // but a single worker cannot pair-conflict. Cheap exit instead:
-        return Verdict::Certified(ConflictCert::trivial(name));
+    if stream.workers() <= 1 {
+        // A single worker cannot pair-conflict.
+        return Verdict::Certified(ConflictCert::trivial(stream.name()));
     }
-    let nnz = data.nnz();
-    let mut cert = ConflictCert {
-        schedule: name,
-        workers: s,
-        epochs_checked: epochs,
-        rounds: 0,
-        samples: 0,
-        schedule_digest: FNV_OFFSET,
-    };
-    // Per-round claim maps: axis value -> (worker, sample). Rebuilt per
-    // round; sized by the worker count, so plain Vecs beat hashing.
-    let mut row_claims: Vec<(u32, usize, usize)> = Vec::with_capacity(s);
-    let mut col_claims: Vec<(u32, usize, usize)> = Vec::with_capacity(s);
-    for epoch in 0..epochs {
-        stream.begin_epoch(epoch);
-        let mut exhausted = vec![false; s];
-        let mut live = s;
-        let mut round: u64 = 0;
-        while live > 0 {
-            assert!(
-                round < max_rounds_per_epoch,
-                "schedule `{name}` did not exhaust within {max_rounds_per_epoch} rounds \
-                 (scheduling deadlock?)"
-            );
-            row_claims.clear();
-            col_claims.clear();
-            for (w, done) in exhausted.iter_mut().enumerate() {
-                if *done {
-                    continue;
-                }
-                match stream.next(w) {
-                    StreamItem::Sample(i) => {
-                        assert!(
-                            i < nnz,
-                            "schedule `{name}` produced sample {i} out of bounds ({nnz})"
-                        );
-                        let e = data.get(i);
-                        if let Some(&(_, wa, ia)) = row_claims.iter().find(|&&(u, _, _)| u == e.u) {
-                            return Verdict::Refuted(ConflictWitness {
-                                epoch,
-                                round,
-                                worker_a: wa,
-                                worker_b: w,
-                                sample_a: ia,
-                                sample_b: i,
-                                axis: Axis::Row(e.u),
-                            });
-                        }
-                        if let Some(&(_, wa, ia)) = col_claims.iter().find(|&&(v, _, _)| v == e.v) {
-                            return Verdict::Refuted(ConflictWitness {
-                                epoch,
-                                round,
-                                worker_a: wa,
-                                worker_b: w,
-                                sample_a: ia,
-                                sample_b: i,
-                                axis: Axis::Col(e.v),
-                            });
-                        }
-                        row_claims.push((e.u, w, i));
-                        col_claims.push((e.v, w, i));
-                        cert.samples += 1;
-                        let mut h = cert.schedule_digest;
-                        h = fnv1a(h, u64::from(epoch));
-                        h = fnv1a(h, round);
-                        h = fnv1a(h, w as u64);
-                        h = fnv1a(h, i as u64);
-                        cert.schedule_digest = h;
-                    }
-                    StreamItem::Stall => {}
-                    StreamItem::Exhausted => {
-                        *done = true;
-                        live -= 1;
-                    }
-                }
-            }
-            round += 1;
-            cert.rounds += 1;
-        }
-    }
-    Verdict::Certified(cert)
+    let mut certifier = Certifier::new(stream.name(), stream.workers(), max_rounds_per_epoch);
+    certifier.drive(data, stream, 0..epochs);
+    certifier.verdict()
 }
 
-/// Resolves the execution mode for a schedule that *claims*
-/// `default_mode`: [`ExecMode::Sequential`] is only honoured when the
-/// prover certifies the schedule conflict-free over the epochs about to
-/// run; a refuted schedule is downgraded to [`ExecMode::StaleAdditive`]
-/// (the engine that models its races honestly) and the witness returned.
-///
-/// Non-sequential defaults pass through untouched (racy engines need no
-/// certificate). The probe stream is consumed; pass a dedicated instance.
-pub fn resolve_exec_mode<S: UpdateStream + ?Sized>(
-    data: &CooMatrix,
-    probe: &mut S,
-    default_mode: ExecMode,
-    epochs: u32,
-) -> (ExecMode, Option<Verdict>) {
-    if default_mode != ExecMode::Sequential {
-        return (default_mode, None);
-    }
-    // Rounds are bounded by samples plus per-worker bookkeeping; any
-    // correct schedule exhausts well within this.
-    let bound = (data.nnz() as u64 + 2) * (probe.workers() as u64 + 1) + 64;
-    let verdict = certify(data, probe, epochs, bound);
-    let mode = match &verdict {
+/// A generous per-epoch round bound for `workers`-worker schedules of
+/// `data`: rounds are bounded by samples plus per-worker bookkeeping, and
+/// every stream in the workspace finishes an epoch well within it
+/// (stall-heavy wavefront rounds included).
+pub fn round_bound(data: &CooMatrix, workers: usize) -> u64 {
+    (data.nnz() as u64 + 2) * (workers as u64 + 1) + 64
+}
+
+/// The execution mode a schedule named `schedule` that claims
+/// [`ExecMode::Sequential`] earns with `verdict`: Sequential when
+/// certified; [`ExecMode::StaleAdditive`] (the engine that models its
+/// races honestly) when refuted, with a warning. Counts either outcome
+/// in the `cumf_core_sched_{certified,refuted}_total` series.
+pub(crate) fn adjudicate(verdict: &Verdict, schedule: &str) -> ExecMode {
+    match verdict {
         Verdict::Certified(_) => {
             cumf_obs::counter(
                 "cumf_core_sched_certified_total",
@@ -336,14 +513,37 @@ pub fn resolve_exec_mode<S: UpdateStream + ?Sized>(
             )
             .inc();
             eprintln!(
-                "warning: schedule `{}` claims conflict-freedom but conflicts ({w}); \
-                 downgrading to the stale-additive conflict engine",
-                probe.name()
+                "warning: schedule `{schedule}` claims conflict-freedom but conflicts ({w}); \
+                 downgrading to the stale-additive conflict engine"
             );
             ExecMode::StaleAdditive
         }
-    };
-    (mode, Some(verdict))
+    }
+}
+
+/// Resolves the execution mode for a schedule that *claims*
+/// `default_mode` by replaying it before anything runs:
+/// [`ExecMode::Sequential`] is only honoured when [`certify`] proves the
+/// schedule conflict-free over the epochs about to run; a refuted
+/// schedule is downgraded to [`ExecMode::StaleAdditive`] (the engine that
+/// models its races honestly) with a warning, and the witness returned.
+/// The solver reaches the same verdict without the replay, by certifying
+/// as it executes; tools that rebuild the solver from public calls use
+/// this.
+///
+/// Non-sequential defaults pass through untouched (racy engines need no
+/// certificate). The probe stream is consumed; pass a dedicated instance.
+pub fn resolve_exec_mode<S: UpdateStream + ?Sized>(
+    data: &CooMatrix,
+    probe: &mut S,
+    default_mode: ExecMode,
+    epochs: u32,
+) -> (ExecMode, Option<Verdict>) {
+    if default_mode != ExecMode::Sequential {
+        return (default_mode, None);
+    }
+    let verdict = certify(data, probe, epochs, round_bound(data, probe.workers()));
+    (adjudicate(&verdict, probe.name()), Some(verdict))
 }
 
 #[cfg(test)]
@@ -387,6 +587,49 @@ mod tests {
         assert_eq!(ca, cb, "deterministic schedule, deterministic cert");
         assert_eq!(ca.samples, 4 * 1500);
         assert!(ca.schedule_digest != 0);
+    }
+
+    #[test]
+    fn folded_fnv_matches_bytewise_fnv() {
+        let bytewise = |mut h: u64, v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+            h
+        };
+        for v in [
+            0,
+            1,
+            255,
+            256,
+            65_535,
+            1 << 24,
+            u64::from(u32::MAX),
+            1 << 56,
+            u64::MAX,
+        ] {
+            assert_eq!(fnv1a(FNV_OFFSET, v), bytewise(FNV_OFFSET, v), "{v}");
+        }
+    }
+
+    #[test]
+    fn certifier_fed_in_pieces_matches_certify() {
+        // The solver replays a resume prefix, executes the middle epochs
+        // and replays the tail, all into one certifier.
+        let data = matrix(64, 64, 1500);
+        let whole = certify(
+            &data,
+            &mut WavefrontStream::new(&data, 4, 8, 9),
+            5,
+            1_000_000,
+        );
+        let mut c = Certifier::new("wavefront", 4, 1_000_000);
+        c.drive(&data, &mut WavefrontStream::new(&data, 4, 8, 9), 0..2);
+        c.drive(&data, &mut WavefrontStream::new(&data, 4, 8, 9), 2..3);
+        c.drive(&data, &mut WavefrontStream::new(&data, 4, 8, 9), 3..5);
+        assert_eq!(c.verdict(), whole);
+        assert!(whole.is_certified());
     }
 
     #[test]

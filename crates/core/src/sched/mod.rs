@@ -22,7 +22,11 @@ mod serial;
 mod wavefront;
 
 pub use batch_hogwild::BatchHogwildStream;
-pub use conflict::{certify, resolve_exec_mode, Axis, ConflictCert, ConflictWitness, Verdict};
+pub(crate) use conflict::adjudicate;
+pub use conflict::{
+    certify, resolve_exec_mode, round_bound, Axis, Certifier, Clash, ConflictCert, ConflictWitness,
+    RoundClaims, Verdict,
+};
 pub use hogwild::HogwildStream;
 pub use libmf::LibmfTableStream;
 pub use serial::SerialStream;

@@ -18,8 +18,9 @@ use cumf_data::CooMatrix;
 
 use crate::concurrent::{EpochStats, ExecMode};
 use crate::engine::{
-    engine_for, load_checkpoint, Checkpointer, DivergenceGuard, EngineModel, EpochObserver,
-    EpochPipeline, ModelTime, NoSimTime, ObsProbes, StreamBackend, TimeDomain,
+    engine_for, load_checkpoint, CertifyingBackend, Checkpointer, DivergenceGuard, EngineModel,
+    EpochBackend, EpochCtx, EpochObserver, EpochPipeline, ModelTime, NoSimTime, ObsProbes,
+    PipelineControl, PipelineRun, ResumeState, StreamBackend, TimeDomain,
 };
 use crate::feature::{Element, FactorMatrix};
 use crate::kernel::CostCert;
@@ -29,8 +30,8 @@ use crate::model_io::ModelIoError;
 use crate::stale::StaleVerdict;
 
 use crate::sched::{
-    resolve_exec_mode, BatchHogwildStream, HogwildStream, LibmfTableStream, SerialStream,
-    UpdateStream, Verdict, WavefrontStream,
+    adjudicate, round_bound, BatchHogwildStream, Certifier, HogwildStream, LibmfTableStream,
+    SerialStream, UpdateStream, Verdict, WavefrontStream,
 };
 
 pub use crate::engine::time::TimeModel;
@@ -254,6 +255,13 @@ pub fn train<E: Element>(
 /// set and an existing checkpoint at `spec.path`, the run continues where
 /// it stopped — deterministic streams and the checkpointed LR state make
 /// the result bit-identical to an uninterrupted run.
+///
+/// A multi-worker scheme that claims conflict-freedom ([`Scheme::default_mode`]
+/// is [`ExecMode::Sequential`]) must prove it: with no explicit `mode`, it
+/// runs under Sequential while a [`Certifier`] checks every round it
+/// executes, and the verdict is attached to the result. Should a round
+/// conflict, that run is discarded and the whole budget rerun on the
+/// stale-additive conflict engine.
 pub fn train_resumable<E: Element>(
     train: &CooMatrix,
     test: &CooMatrix,
@@ -261,126 +269,271 @@ pub fn train_resumable<E: Element>(
     time: Option<&TimeModel>,
     checkpoint: Option<&CheckpointSpec>,
 ) -> Result<TrainResult<E>, ModelIoError> {
+    train_scheduled(
+        &RunInputs {
+            train,
+            test,
+            config,
+            time,
+            checkpoint,
+        },
+        &|| config.scheme.stream(train, config.seed),
+        config.scheme.default_mode(),
+    )
+}
+
+/// The fixed inputs of one [`train_resumable`] call.
+struct RunInputs<'a> {
+    train: &'a CooMatrix,
+    test: &'a CooMatrix,
+    config: &'a SolverConfig,
+    time: Option<&'a TimeModel>,
+    checkpoint: Option<&'a CheckpointSpec>,
+}
+
+/// [`train_resumable`]'s body over any schedule: `stream` builds a fresh
+/// instance of the policy and `claimed` is the execution mode the policy
+/// claims. Tests reach schedules no [`Scheme`] builds through it.
+fn train_scheduled<E: Element>(
+    run: &RunInputs<'_>,
+    stream: &dyn Fn() -> Box<dyn UpdateStream>,
+    claimed: ExecMode,
+) -> Result<TrainResult<E>, ModelIoError> {
+    let (train, config) = (run.train, run.config);
     assert!(config.k > 0, "k must be positive");
     assert!(!train.is_empty(), "training set is empty");
 
     // The run's cost certificate: the kernel's memory contract for this
     // (k, precision, rating-access) checked against the Eq. 5 model, with
     // the time model's pricing drift recorded when one is supplied.
-    let cost_cert = CostCert::certify::<E>(
-        config.k,
-        config.scheme.rating_access(),
-        time.map(|tm| &tm.cost),
-    );
-
-    let (mut model, resume_state) = match checkpoint {
-        Some(spec) if spec.resume && spec.path.exists() => {
-            let (model, state) = load_checkpoint::<E>(&spec.path)?;
-            if model.p.rows() != train.rows()
-                || model.q.rows() != train.cols()
-                || model.p.k() != config.k
-            {
-                return Err(ModelIoError::Format(format!(
-                    "checkpoint shape {}x{} k={} does not match run {}x{} k={}",
-                    model.p.rows(),
-                    model.q.rows(),
-                    model.p.k(),
-                    train.rows(),
-                    train.cols(),
-                    config.k
-                )));
-            }
-            (model, Some(state))
-        }
-        _ => {
-            let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-            (EngineModel::init_unbiased(train, config.k, &mut rng), None)
-        }
+    let cost_cert = {
+        let _span = cumf_obs::span("solver", "cert.cost");
+        CostCert::certify::<E>(
+            config.k,
+            config.scheme.rating_access(),
+            run.time.map(|tm| &tm.cost),
+        )
     };
 
-    // Sequential execution is only exact for conflict-free schedules, so
-    // it must be *proven*: drive a probe instance of the schedule through
-    // the conflict prover and consume the certificate (or downgrade on a
-    // witness). Explicit `mode` overrides skip the prover — the caller
-    // asked for those semantics by name.
-    let (mode, schedule_verdict) = match config.mode {
-        Some(m) => (m, None),
-        None => {
-            let default = config.scheme.default_mode();
-            if default == ExecMode::Sequential && config.scheme.workers() > 1 {
-                let mut probe = config.scheme.stream(train, config.seed);
-                resolve_exec_mode(train, probe.as_mut(), default, config.epochs)
-            } else {
-                (default, None)
-            }
-        }
+    let resumed = match run.checkpoint {
+        Some(spec) if spec.resume && spec.path.exists() => Some(run.load_checkpoint(&spec.path)?),
+        _ => None,
     };
-    // Racy execution must also be *earned*: lift the solver's Hogwild
-    // path into the asynchrony IR and certify bounded staleness plus the
-    // lr·τ condition against the configured schedule; a refuted
-    // configuration is serialised. Explicit `mode` overrides skip it,
-    // and a run the conflict prover already adjudicated keeps that
-    // verdict's mode (no downgrade ping-pong).
-    let (mode, stale_verdict) = if config.mode.is_none() && schedule_verdict.is_none() {
-        let spec = crate::stale::PathSpec::solver_hogwild(
-            config.scheme.workers(),
-            train.rows().min(train.cols()),
-        );
-        crate::stale::resolve_stale_mode(&spec, &config.schedule, config.epochs, mode)
+    let (mut model, resume_state) = match resumed {
+        Some((model, state)) => (model, Some(state)),
+        None => (run.init_model(), None),
+    };
+
+    let workers = config.scheme.workers();
+    let (model, pipeline_run, exec_mode, schedule_verdict, stale_verdict) = if config.mode.is_none()
+        && claimed == ExecMode::Sequential
+        && workers > 1
+    {
+        // Sequential execution is only exact for conflict-free schedules,
+        // so the claim must be *proven*, here while the run executes.
+        let (model, pipeline_run, mode, verdict) = run.certified(model, resume_state, stream);
+        (model, pipeline_run, mode, Some(verdict), None)
     } else {
-        (mode, None)
+        // Racy execution must also be *earned*: lift the solver's
+        // Hogwild path into the asynchrony IR and certify bounded
+        // staleness plus the lr·τ condition against the configured
+        // schedule; a refuted configuration is serialised. Explicit
+        // `mode` overrides skip it — the caller asked for those
+        // semantics by name.
+        let (mode, stale_verdict) = match config.mode {
+            Some(m) => (m, None),
+            None => {
+                let _span = cumf_obs::span("solver", "cert.stale");
+                let spec =
+                    crate::stale::PathSpec::solver_hogwild(workers, train.rows().min(train.cols()));
+                crate::stale::resolve_stale_mode(&spec, &config.schedule, config.epochs, claimed)
+            }
+        };
+        let pipeline_run = run.execute(mode, &mut model, resume_state, stream());
+        (model, pipeline_run, mode, None, stale_verdict)
     };
-    let thread_batch = match config.scheme {
-        Scheme::BatchHogwild { batch, .. } => batch as usize,
-        _ => crate::concurrent::DEFAULT_THREAD_BATCH,
-    };
-    let mut backend = StreamBackend::new(
-        train,
-        config.scheme.stream(train, config.seed),
-        engine_for::<E>(mode, config.scheme.workers() as usize, thread_batch),
-        config.scheme.workers(),
-    );
-
-    let mut time_domain: Box<dyn TimeDomain> = match time {
-        Some(tm) => Box::new(ModelTime(tm.clone())),
-        None => Box::new(NoSimTime),
-    };
-
-    let mut probes = ObsProbes::new();
-    let mut guard = DivergenceGuard::new(config.divergence_ceiling);
-    let mut checkpointer = checkpoint.map(|spec| Checkpointer::new(&spec.path, spec.every));
-    let mut observers: Vec<&mut dyn EpochObserver<E>> = vec![&mut probes, &mut guard];
-    if let Some(ckpt) = checkpointer.as_mut() {
-        observers.push(ckpt);
-    }
-
-    let pipeline = EpochPipeline {
-        label: config.scheme.name(),
-        epochs: config.epochs,
-        lambda: config.lambda,
-        schedule: config.schedule.clone(),
-    };
-    let run = pipeline.run(
-        &mut model,
-        &mut backend,
-        time_domain.as_mut(),
-        &mut observers,
-        test,
-        resume_state,
-    );
 
     Ok(TrainResult {
         p: model.p,
         q: model.q,
-        trace: run.trace,
-        epoch_stats: run.epoch_stats,
-        report: run.report,
-        diverged: run.diverged,
-        exec_mode: mode,
+        trace: pipeline_run.trace,
+        epoch_stats: pipeline_run.epoch_stats,
+        report: pipeline_run.report,
+        diverged: pipeline_run.diverged,
+        exec_mode,
         schedule_verdict,
         stale_verdict,
         cost_cert,
     })
+}
+
+impl RunInputs<'_> {
+    /// The seeded initial model of a fresh run.
+    fn init_model<E: Element>(&self) -> EngineModel<E> {
+        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
+        EngineModel::init_unbiased(self.train, self.config.k, &mut rng)
+    }
+
+    /// Loads a checkpoint to resume from, checking it fits the run.
+    fn load_checkpoint<E: Element>(
+        &self,
+        path: &std::path::Path,
+    ) -> Result<(EngineModel<E>, ResumeState), ModelIoError> {
+        let (train, k) = (self.train, self.config.k);
+        let (model, state) = load_checkpoint::<E>(path)?;
+        if model.p.rows() != train.rows() || model.q.rows() != train.cols() || model.p.k() != k {
+            return Err(ModelIoError::Format(format!(
+                "checkpoint shape {}x{} k={} does not match run {}x{} k={}",
+                model.p.rows(),
+                model.q.rows(),
+                model.p.k(),
+                train.rows(),
+                train.cols(),
+                k
+            )));
+        }
+        Ok((model, state))
+    }
+
+    /// Runs `stream` on the engine implementing `mode`.
+    fn execute<E: Element>(
+        &self,
+        mode: ExecMode,
+        model: &mut EngineModel<E>,
+        resume: Option<ResumeState>,
+        stream: Box<dyn UpdateStream>,
+    ) -> PipelineRun {
+        let config = self.config;
+        let thread_batch = match config.scheme {
+            Scheme::BatchHogwild { batch, .. } => batch as usize,
+            _ => crate::concurrent::DEFAULT_THREAD_BATCH,
+        };
+        let mut backend = StreamBackend::new(
+            self.train,
+            stream,
+            engine_for::<E>(mode, config.scheme.workers() as usize, thread_batch),
+            config.scheme.workers(),
+        );
+        self.pipeline(model, &mut backend, resume, false)
+    }
+
+    /// Drives `backend` through the epoch pipeline with the solver's time
+    /// domain and observers (obs probes, divergence guard, optional
+    /// checkpointing). A `speculative` run stops at the first epoch with
+    /// a collision, before any observer sees it.
+    fn pipeline<E: Element>(
+        &self,
+        model: &mut EngineModel<E>,
+        backend: &mut dyn EpochBackend<E>,
+        resume: Option<ResumeState>,
+        speculative: bool,
+    ) -> PipelineRun {
+        let config = self.config;
+        let mut time_domain: Box<dyn TimeDomain> = match self.time {
+            Some(tm) => Box::new(ModelTime(tm.clone())),
+            None => Box::new(NoSimTime),
+        };
+        let mut probes = ObsProbes::new();
+        let mut guard = DivergenceGuard::new(config.divergence_ceiling);
+        let mut checkpointer = self
+            .checkpoint
+            .map(|spec| Checkpointer::new(&spec.path, spec.every));
+        let mut observers: Vec<&mut dyn EpochObserver<E>> = vec![&mut probes, &mut guard];
+        if let Some(ckpt) = checkpointer.as_mut() {
+            observers.push(ckpt);
+        }
+        let pipeline = EpochPipeline {
+            label: config.scheme.name(),
+            epochs: config.epochs,
+            lambda: config.lambda,
+            schedule: config.schedule.clone(),
+        };
+        let time = time_domain.as_mut();
+        if speculative {
+            let mut gate = CollisionFree(&mut observers);
+            pipeline.run(model, backend, time, &mut [&mut gate], self.test, resume)
+        } else {
+            pipeline.run(model, backend, time, &mut observers, self.test, resume)
+        }
+    }
+
+    /// Trains a schedule that claims conflict-freedom under
+    /// [`ExecMode::Sequential`] while a [`Certifier`] checks every round
+    /// as it executes; returns the trained model, the run, the mode it
+    /// earned and the verdict.
+    ///
+    /// The verdict covers every configured epoch, as [`crate::sched::certify`]
+    /// over a fresh stream would: epochs the run does not execute — the
+    /// prefix a resumed run skips, the tail after a divergence stop — are
+    /// replayed into the same certifier, in epoch order. A refuted
+    /// schedule's run is discarded and the whole budget rerun on the
+    /// stale-additive engine, from the state the run began with.
+    fn certified<E: Element>(
+        &self,
+        mut model: EngineModel<E>,
+        resume: Option<ResumeState>,
+        stream: &dyn Fn() -> Box<dyn UpdateStream>,
+    ) -> (EngineModel<E>, PipelineRun, ExecMode, Verdict) {
+        let (train, epochs) = (self.train, self.config.epochs);
+        let live = stream();
+        let name = live.name();
+        let mut certifier =
+            Certifier::new(name, live.workers(), round_bound(train, live.workers()));
+        let start = resume.as_ref().map_or(0, |r| r.next_epoch).min(epochs);
+        if start > 0 {
+            let _span = cumf_obs::span("solver", "cert.conflict.prefix");
+            certifier.drive(train, stream().as_mut(), 0..start);
+        }
+        if !certifier.is_refuted() {
+            // A refuted run restarts from the state it began with: a
+            // resumed run's checkpoint is kept in memory (the run may
+            // overwrite the file), a fresh run re-initialises from the seed.
+            let restart = resume.as_ref().map(|_| model.clone());
+            let mut backend = CertifyingBackend::new(train, live, certifier);
+            let run = self.pipeline(&mut model, &mut backend, resume.clone(), true);
+            certifier = backend.into_certifier();
+            let end = start + run.epoch_stats.len() as u32;
+            if !certifier.is_refuted() && end < epochs {
+                let _span = cumf_obs::span("solver", "cert.conflict.suffix");
+                certifier.drive(train, stream().as_mut(), end..epochs);
+            }
+            if !certifier.is_refuted() {
+                let verdict = certifier.verdict();
+                return (model, run, adjudicate(&verdict, name), verdict);
+            }
+            model = restart.unwrap_or_else(|| self.init_model());
+        }
+        let verdict = certifier.verdict();
+        let mode = adjudicate(&verdict, name);
+        let run = self.execute(mode, &mut model, resume, stream());
+        (model, run, mode, verdict)
+    }
+}
+
+/// Forwards each epoch to the wrapped observers only while the run stays
+/// collision-free, and stops it at the first epoch that is not. Under a
+/// [`Certifier`] a collision is exactly a witness, so a refuted
+/// speculative run ends there without checkpointing the epoch.
+struct CollisionFree<'o, 'a, E: Element>(&'o mut [&'a mut dyn EpochObserver<E>]);
+
+impl<E: Element> EpochObserver<E> for CollisionFree<'_, '_, E> {
+    fn on_epoch_end(&mut self, ctx: &EpochCtx<'_>, model: &EngineModel<E>) -> PipelineControl {
+        if ctx.stats.row_collisions + ctx.stats.col_collisions > 0 {
+            return PipelineControl::Stop { diverged: false };
+        }
+        let (mut stop, mut diverged) = (false, false);
+        for obs in self.0.iter_mut() {
+            if let PipelineControl::Stop { diverged: d } = obs.on_epoch_end(ctx, model) {
+                stop = true;
+                diverged |= d;
+            }
+        }
+        if stop {
+            PipelineControl::Stop { diverged }
+        } else {
+            PipelineControl::Continue
+        }
+    }
 }
 
 #[cfg(test)]
@@ -389,6 +542,22 @@ mod tests {
     use crate::half::F16;
     use crate::SgdUpdateCost;
     use cumf_data::synth::{generate, SynthConfig};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// P/Q `digest()`s, test-RMSE bits and schedule digest of the 6-epoch
+    /// Wavefront run in `wavefront_golden_digests`.
+    const GOLDEN_P: u64 = 0xff120d7de94b9f72;
+    const GOLDEN_Q: u64 = 0x0fb4ade1aeed7484;
+    const GOLDEN_RMSE_BITS: [u64; 6] = [
+        0x3fe0a67c91204b04,
+        0x3fda469dc1b2bf1e,
+        0x3fd6601b95497ae2,
+        0x3fd2b945d50575ff,
+        0x3fceb64cf5a12298,
+        0x3fca43f0e7696dea,
+    ];
+    const GOLDEN_SCHEDULE_DIGEST: u64 = 17_913_974_579_879_280_001;
 
     fn small_dataset() -> cumf_data::synth::SynthDataset {
         generate(&SynthConfig {
@@ -650,5 +819,317 @@ mod tests {
         // Only the post-resume epochs were executed by the second call.
         assert_eq!(resumed.epoch_stats.len(), 10);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Runs [`train_resumable`]'s body on the schedule `stream` builds,
+    /// which claims `claimed`.
+    fn train_on<E: Element>(
+        data: &CooMatrix,
+        config: &SolverConfig,
+        checkpoint: Option<&CheckpointSpec>,
+        stream: &dyn Fn() -> Box<dyn UpdateStream>,
+        claimed: ExecMode,
+    ) -> TrainResult<E> {
+        let inputs = RunInputs {
+            train: data,
+            test: data,
+            config,
+            time: None,
+            checkpoint,
+        };
+        train_scheduled(&inputs, stream, claimed).unwrap()
+    }
+
+    /// The verdict [`crate::sched::certify`] reaches replaying a fresh
+    /// `stream` over `epochs` epochs.
+    fn replayed(data: &CooMatrix, mut stream: Box<dyn UpdateStream>, epochs: u32) -> Verdict {
+        let bound = round_bound(data, stream.workers());
+        crate::sched::certify(data, stream.as_mut(), epochs, bound)
+    }
+
+    fn assert_same_run<E: Element>(a: &TrainResult<E>, b: &TrainResult<E>) {
+        assert_eq!(a.p.digest(), b.p.digest());
+        assert_eq!(a.q.digest(), b.q.digest());
+        assert_eq!(a.trace.points.len(), b.trace.points.len());
+        for (x, y) in a.trace.points.iter().zip(&b.trace.points) {
+            assert_eq!(x.rmse.to_bits(), y.rmse.to_bits(), "epoch {}", x.epoch);
+        }
+    }
+
+    fn temp_checkpoint(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("cumf_solver_cert_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}.cmfk"));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// `train()`'s verdict, certified while the run executes, equals
+    /// `certify`'s replay of a fresh stream over the configured epochs —
+    /// for a fresh run, a run resumed mid-way (prefix replayed), and a run
+    /// stopped by the divergence ceiling after one epoch (tail replayed).
+    fn verdicts_match_replay<E: Element>(scheme: Scheme) {
+        let d = small_dataset();
+        let cfg = SolverConfig {
+            epochs: 6,
+            ..base_config(scheme)
+        };
+        let expected = replayed(&d.train, scheme.stream(&d.train, cfg.seed), cfg.epochs);
+        assert!(expected.is_certified(), "{expected:?}");
+
+        let fresh = train::<E>(&d.train, &d.test, &cfg, None);
+        assert_eq!(fresh.exec_mode, ExecMode::Sequential);
+        assert_eq!(fresh.schedule_verdict.as_ref(), Some(&expected));
+        assert!(fresh.stale_verdict.is_none());
+
+        let spec = CheckpointSpec {
+            path: temp_checkpoint(&format!("{}-{}", scheme.name(), E::NAME)),
+            every: 3,
+            resume: true,
+        };
+        let head_cfg = SolverConfig {
+            epochs: 3,
+            ..cfg.clone()
+        };
+        let head = train_resumable::<E>(&d.train, &d.test, &head_cfg, None, Some(&spec)).unwrap();
+        let head_expected = replayed(&d.train, scheme.stream(&d.train, cfg.seed), 3);
+        assert_eq!(head.schedule_verdict, Some(head_expected));
+        let resumed = train_resumable::<E>(&d.train, &d.test, &cfg, None, Some(&spec)).unwrap();
+        assert_eq!(resumed.epoch_stats.len(), 3);
+        assert_eq!(resumed.schedule_verdict.as_ref(), Some(&expected));
+        assert_same_run(&resumed, &fresh);
+        let _ = std::fs::remove_file(&spec.path);
+
+        let stopped_cfg = SolverConfig {
+            divergence_ceiling: 1e-3,
+            ..cfg.clone()
+        };
+        let stopped = train::<E>(&d.train, &d.test, &stopped_cfg, None);
+        assert!(stopped.diverged);
+        assert_eq!(stopped.epoch_stats.len(), 1);
+        assert_eq!(stopped.schedule_verdict.as_ref(), Some(&expected));
+    }
+
+    #[test]
+    fn wavefront_verdict_matches_replay() {
+        let scheme = Scheme::Wavefront {
+            workers: 4,
+            cols: 10,
+        };
+        verdicts_match_replay::<f32>(scheme);
+        verdicts_match_replay::<F16>(scheme);
+    }
+
+    #[test]
+    fn libmf_verdict_matches_replay() {
+        let scheme = Scheme::LibmfTable { workers: 4, a: 10 };
+        verdicts_match_replay::<f32>(scheme);
+        verdicts_match_replay::<F16>(scheme);
+    }
+
+    #[test]
+    fn wavefront_golden_digests() {
+        // Pinned from the solver that replayed the schedule before
+        // training: certifying during execution must not move a bit.
+        let d = small_dataset();
+        let cfg = SolverConfig {
+            epochs: 6,
+            ..base_config(Scheme::Wavefront {
+                workers: 4,
+                cols: 10,
+            })
+        };
+        let r = train::<f32>(&d.train, &d.test, &cfg, None);
+        let rmse_bits: Vec<u64> = r.trace.points.iter().map(|p| p.rmse.to_bits()).collect();
+        assert_eq!((r.p.digest(), r.q.digest()), (GOLDEN_P, GOLDEN_Q));
+        assert_eq!(rmse_bits, GOLDEN_RMSE_BITS);
+        let cert = r.schedule_verdict.as_ref().and_then(Verdict::certificate);
+        assert_eq!(
+            cert.map(|c| (c.rounds, c.samples, c.schedule_digest)),
+            Some((37_920, 90_000, GOLDEN_SCHEDULE_DIGEST))
+        );
+    }
+
+    /// Eight ratings of the one cell of a 1×1 matrix: any two workers in a
+    /// round collide.
+    fn one_cell() -> CooMatrix {
+        let mut coo = CooMatrix::new(1, 1);
+        for i in 0..8 {
+            coo.push(0, 0, 1.0 + 0.25 * i as f32);
+        }
+        coo
+    }
+
+    /// A stream that counts the epochs begun, across every instance
+    /// sharing the counter.
+    struct Counted(BatchHogwildStream, Rc<Cell<u32>>);
+
+    impl UpdateStream for Counted {
+        fn workers(&self) -> usize {
+            self.0.workers()
+        }
+        fn next(&mut self, w: usize) -> crate::sched::StreamItem {
+            self.0.next(w)
+        }
+        fn begin_epoch(&mut self, epoch: u32) {
+            self.1.set(self.1.get() + 1);
+            self.0.begin_epoch(epoch);
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn refuted_schedule_reruns_on_the_stale_additive_engine() {
+        let data = one_cell();
+        let cfg = SolverConfig {
+            epochs: 3,
+            ..base_config(Scheme::BatchHogwild {
+                workers: 2,
+                batch: 1,
+            })
+        };
+        let begun = Rc::new(Cell::new(0));
+        let racy = || {
+            Box::new(Counted(BatchHogwildStream::new(8, 2, 1), begun.clone()))
+                as Box<dyn UpdateStream>
+        };
+        let r = train_on::<f32>(&data, &cfg, None, &racy, ExecMode::Sequential);
+        assert_eq!(r.exec_mode, ExecMode::StaleAdditive);
+        assert_eq!(
+            begun.get(),
+            1 + cfg.epochs,
+            "the speculative run stops at its first, conflicting, epoch"
+        );
+        let expected = replayed(
+            &data,
+            Box::new(BatchHogwildStream::new(8, 2, 1)),
+            cfg.epochs,
+        );
+        assert!(expected.witness().is_some());
+        assert_eq!(r.schedule_verdict, Some(expected));
+        assert!(r.stale_verdict.is_none());
+        let forced = SolverConfig {
+            mode: Some(ExecMode::StaleAdditive),
+            ..cfg
+        };
+        assert_same_run(&r, &train::<f32>(&data, &data, &forced, None));
+    }
+
+    /// Two workers over a 2×2 diagonal-then-antidiagonal matrix: epochs
+    /// before `flip_at` pair disjoint samples, later epochs pair samples
+    /// sharing a P row.
+    struct Flip {
+        flip_at: u32,
+        order: [[usize; 2]; 2],
+        cursor: [usize; 2],
+    }
+
+    impl UpdateStream for Flip {
+        fn workers(&self) -> usize {
+            2
+        }
+        fn next(&mut self, w: usize) -> crate::sched::StreamItem {
+            let c = self.cursor[w];
+            if c == 2 {
+                return crate::sched::StreamItem::Exhausted;
+            }
+            self.cursor[w] += 1;
+            crate::sched::StreamItem::Sample(self.order[w][c])
+        }
+        fn begin_epoch(&mut self, epoch: u32) {
+            self.order = if epoch < self.flip_at {
+                [[0, 2], [1, 3]]
+            } else {
+                [[0, 1], [2, 3]]
+            };
+            self.cursor = [0, 0];
+        }
+        fn name(&self) -> &'static str {
+            "flip"
+        }
+    }
+
+    #[test]
+    fn refutation_after_resume_reruns_from_the_checkpoint() {
+        let mut data = CooMatrix::new(2, 2);
+        for (u, v, r) in [(0, 0, 1.0), (1, 1, 2.0), (0, 1, 3.0), (1, 0, 4.0)] {
+            data.push(u, v, r);
+        }
+        let flip = || {
+            Box::new(Flip {
+                flip_at: 3,
+                order: [[0; 2]; 2],
+                cursor: [2, 2],
+            }) as Box<dyn UpdateStream>
+        };
+        let cfg = SolverConfig {
+            epochs: 4,
+            ..base_config(Scheme::LibmfTable { workers: 2, a: 2 })
+        };
+        let spec = CheckpointSpec {
+            path: temp_checkpoint("flip"),
+            every: 1,
+            resume: true,
+        };
+        let head_cfg = SolverConfig {
+            epochs: 2,
+            ..cfg.clone()
+        };
+        let head = train_on::<f32>(&data, &head_cfg, Some(&spec), &flip, ExecMode::Sequential);
+        assert_eq!(head.exec_mode, ExecMode::Sequential);
+        let copy = CheckpointSpec {
+            path: temp_checkpoint("flip-copy"),
+            ..spec.clone()
+        };
+        std::fs::copy(&spec.path, &copy.path).unwrap();
+
+        // Epoch 2 executes cleanly (and checkpoints), epoch 3 conflicts:
+        // the rerun must start from the checkpoint as it was loaded.
+        let r = train_on::<f32>(&data, &cfg, Some(&spec), &flip, ExecMode::Sequential);
+        assert_eq!(r.exec_mode, ExecMode::StaleAdditive);
+        let expected = replayed(&data, flip(), cfg.epochs);
+        assert_eq!(expected.witness().map(|w| w.epoch), Some(3));
+        assert_eq!(r.schedule_verdict, Some(expected));
+        assert_eq!(r.epoch_stats.len(), 2);
+        let forced = SolverConfig {
+            mode: Some(ExecMode::StaleAdditive),
+            ..cfg
+        };
+        let f = train_on::<f32>(&data, &forced, Some(&copy), &flip, ExecMode::Sequential);
+        assert_same_run(&r, &f);
+        let _ = std::fs::remove_file(&spec.path);
+        let _ = std::fs::remove_file(&copy.path);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not exhaust")]
+    fn stalling_schedule_panics_instead_of_spinning() {
+        struct Stalled;
+        impl UpdateStream for Stalled {
+            fn workers(&self) -> usize {
+                2
+            }
+            fn next(&mut self, _w: usize) -> crate::sched::StreamItem {
+                crate::sched::StreamItem::Stall
+            }
+            fn begin_epoch(&mut self, _e: u32) {}
+            fn name(&self) -> &'static str {
+                "stalled"
+            }
+        }
+        let data = one_cell();
+        let cfg = SolverConfig {
+            epochs: 1,
+            ..base_config(Scheme::LibmfTable { workers: 2, a: 1 })
+        };
+        let _ = train_on::<f32>(
+            &data,
+            &cfg,
+            None,
+            &|| Box::new(Stalled),
+            ExecMode::Sequential,
+        );
     }
 }
