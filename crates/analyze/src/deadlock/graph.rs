@@ -28,22 +28,14 @@
 
 use super::{ClassSpec, Protocol, SiteSpec};
 use crate::mc::{check, Model, ViolationKind};
-use crate::MC_STATE_BUDGET;
-use cumf_core::faults::fnv1a64;
+use crate::{Replay, MC_STATE_BUDGET};
+use cumf_core::digest::fnv1a64;
+use cumf_core::Verdict;
 
 /// Most virtual threads a cross-validation run spawns (each path is
 /// duplicated so two threads contend on the same acquisition sequence;
 /// capped to keep the state space far below [`MC_STATE_BUDGET`]).
 const MAX_MC_THREADS: usize = 6;
-
-/// Outcome of the order pass on one protocol.
-#[derive(Debug, Clone)]
-pub enum OrderVerdict {
-    /// Graph is acyclic: certificate with the topological order.
-    Acyclic(DeadlockCert),
-    /// Graph has a cycle: concrete, replayable witness.
-    Cyclic(DeadlockWitness),
-}
 
 /// Acyclicity certificate for one protocol's lock-order graph.
 #[derive(Debug, Clone)]
@@ -120,6 +112,12 @@ impl std::fmt::Display for DeadlockWitness {
             },
             self.site_anchors.join("; ")
         )
+    }
+}
+
+impl Replay for DeadlockWitness {
+    fn replays(&self) -> bool {
+        self.replays
     }
 }
 
@@ -359,7 +357,7 @@ fn cert_digest(
 /// Runs the order pass: cycle search, then either the topological
 /// certificate (cross-validated by the model checker) or a replayed
 /// cycle witness.
-pub fn analyze_order(p: &Protocol) -> OrderVerdict {
+pub fn analyze_order(p: &Protocol) -> Verdict<DeadlockCert, DeadlockWitness> {
     let edges: Vec<(usize, usize)> = p
         .sites
         .iter()
@@ -367,7 +365,7 @@ pub fn analyze_order(p: &Protocol) -> OrderVerdict {
         .collect();
 
     if let Some(cycle) = find_cycle(p.classes.len(), &edges) {
-        return OrderVerdict::Cyclic(witness_for_cycle(p, &cycle));
+        return Verdict::Refuted(witness_for_cycle(p, &cycle));
     }
 
     let topo = topo_sort(p.classes.len(), &edges);
@@ -399,7 +397,7 @@ pub fn analyze_order(p: &Protocol) -> OrderVerdict {
 
     let topo_names = topo.iter().map(|&c| p.classes[c].name.clone()).collect();
     let digest = cert_digest(p.name, &p.classes, &edges, &topo);
-    OrderVerdict::Acyclic(DeadlockCert {
+    Verdict::Certified(DeadlockCert {
         protocol: p.name,
         classes: p.classes.iter().map(|c| c.name.clone()).collect(),
         edges,
@@ -482,12 +480,12 @@ mod tests {
     fn ascending_order_certifies_with_mc_cross_check() {
         let p = two_class(vec![site(None, 0), site(Some(0), 1)]);
         match analyze_order(&p) {
-            OrderVerdict::Acyclic(cert) => {
+            Verdict::Certified(cert) => {
                 assert_eq!(cert.edges, vec![(0, 1)]);
                 assert!(cert.mc_states > 0, "cross-check must actually run");
                 assert_ne!(cert.digest, 0);
             }
-            OrderVerdict::Cyclic(w) => panic!("spurious cycle: {w}"),
+            Verdict::Refuted(w) => panic!("spurious cycle: {w}"),
         }
     }
 
@@ -500,13 +498,13 @@ mod tests {
             site(Some(1), 0),
         ]);
         match analyze_order(&p) {
-            OrderVerdict::Cyclic(w) => {
+            Verdict::Refuted(w) => {
                 assert_eq!(w.cycle.len(), 2);
                 assert_eq!(w.schedule, vec![0, 1]);
                 assert!(w.replays, "{w}");
                 assert!(w.mc_detail.contains("deadlock"), "{}", w.mc_detail);
             }
-            OrderVerdict::Acyclic(c) => panic!("missed ABBA cycle: {c}"),
+            Verdict::Certified(c) => panic!("missed ABBA cycle: {c}"),
         }
     }
 
@@ -514,11 +512,11 @@ mod tests {
     fn entry_only_protocol_is_vacuously_acyclic() {
         let p = two_class(vec![site(None, 0), site(None, 1)]);
         match analyze_order(&p) {
-            OrderVerdict::Acyclic(cert) => {
+            Verdict::Certified(cert) => {
                 assert!(cert.edges.is_empty());
                 assert_eq!(cert.mc_states, 0, "no held edges → vacuous check");
             }
-            OrderVerdict::Cyclic(w) => panic!("spurious cycle: {w}"),
+            Verdict::Refuted(w) => panic!("spurious cycle: {w}"),
         }
     }
 
@@ -537,13 +535,13 @@ mod tests {
             retry: None,
         };
         match analyze_order(&p) {
-            OrderVerdict::Cyclic(w) => {
+            Verdict::Refuted(w) => {
                 assert_eq!(w.cycle.len(), 3);
                 assert_eq!(w.schedule, vec![0, 1, 2]);
                 assert!(w.replays, "{w}");
                 assert_eq!(w.site_anchors.len(), 3);
             }
-            OrderVerdict::Acyclic(c) => panic!("missed 3-cycle: {c}"),
+            Verdict::Certified(c) => panic!("missed 3-cycle: {c}"),
         }
     }
 
@@ -552,7 +550,7 @@ mod tests {
         let a = two_class(vec![site(None, 0), site(Some(0), 1)]);
         let mut b = two_class(vec![site(None, 0), site(Some(0), 1)]);
         b.classes[1].max_waiters = 7;
-        let (OrderVerdict::Acyclic(ca), OrderVerdict::Acyclic(cb)) =
+        let (Verdict::Certified(ca), Verdict::Certified(cb)) =
             (analyze_order(&a), analyze_order(&b))
         else {
             panic!("both must certify");

@@ -26,17 +26,9 @@
 
 use super::{Protocol, WatchdogSpec};
 use crate::deadlock::graph::DeadlockCert;
-use cumf_core::faults::fnv1a64;
-
-/// Outcome of the liveness pass on one (order-certified) protocol.
-#[derive(Debug, Clone)]
-pub enum LivenessVerdict {
-    /// Every waiter's grant is bounded and the watchdog (if any)
-    /// strictly dominates the longest wait chain.
-    Live(LivenessCert),
-    /// A watchdog timeout does not dominate the certified chain.
-    Starved(StarvationWitness),
-}
+use crate::Replay;
+use cumf_core::digest::fnv1a64;
+use cumf_core::Verdict;
 
 /// Bounded-wait certificate.
 #[derive(Debug, Clone)]
@@ -103,6 +95,14 @@ impl std::fmt::Display for StarvationWitness {
     }
 }
 
+/// A starvation witness replays when its watchdog really fires at or
+/// before the certified grant bound.
+impl Replay for StarvationWitness {
+    fn replays(&self) -> bool {
+        self.timeout_s <= self.grant_by_s
+    }
+}
+
 /// Per-class effective hold and worst-case grant wait, composed in
 /// reverse topological order of the (acyclic) lock-order graph.
 fn class_bounds(p: &Protocol, cert: &DeadlockCert) -> (Vec<f64>, Vec<f64>) {
@@ -145,8 +145,13 @@ fn live_digest(p: &Protocol, bounds: &[(String, f64)], chain_s: f64) -> u64 {
 }
 
 /// Runs the liveness pass. Requires the order certificate (the bound
-/// composition walks its topological order).
-pub fn analyze_liveness(p: &Protocol, cert: &DeadlockCert) -> LivenessVerdict {
+/// composition walks its topological order). Certified when every
+/// waiter's grant is bounded and the watchdog (if any) strictly
+/// dominates the longest wait chain.
+pub fn analyze_liveness(
+    p: &Protocol,
+    cert: &DeadlockCert,
+) -> Verdict<LivenessCert, StarvationWitness> {
     let (eff, wait) = class_bounds(p, cert);
 
     // Longest chain from any entry site: full wait for the entry class
@@ -174,7 +179,7 @@ pub fn analyze_liveness(p: &Protocol, cert: &DeadlockCert) -> LivenessVerdict {
         Some(WatchdogSpec { timeout_s, anchor }) => {
             if *timeout_s <= chain_s {
                 let spec = &p.classes[chain_class];
-                return LivenessVerdict::Starved(StarvationWitness {
+                return Verdict::Refuted(StarvationWitness {
                     protocol: p.name,
                     class: spec.name.clone(),
                     victim_position: spec.max_waiters,
@@ -189,7 +194,7 @@ pub fn analyze_liveness(p: &Protocol, cert: &DeadlockCert) -> LivenessVerdict {
     };
 
     let digest = live_digest(p, &grant_bounds, chain_s);
-    LivenessVerdict::Live(LivenessCert {
+    Verdict::Certified(LivenessCert {
         protocol: p.name,
         grant_bounds,
         chain_s,
@@ -205,7 +210,7 @@ pub fn analyze_liveness(p: &Protocol, cert: &DeadlockCert) -> LivenessVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deadlock::graph::{analyze_order, OrderVerdict};
+    use crate::deadlock::graph::analyze_order;
     use crate::deadlock::{ClassSpec, Protocol, RetrySpec, SiteSpec};
 
     fn proto(
@@ -243,8 +248,8 @@ mod tests {
 
     fn order_cert(p: &Protocol) -> DeadlockCert {
         match analyze_order(p) {
-            OrderVerdict::Acyclic(c) => c,
-            OrderVerdict::Cyclic(w) => panic!("test protocol must be acyclic: {w}"),
+            Verdict::Certified(c) => c,
+            Verdict::Refuted(w) => panic!("test protocol must be acyclic: {w}"),
         }
     }
 
@@ -255,10 +260,10 @@ mod tests {
         let p = proto(vec![class("m", 1, 1e-3, 3)], vec![site(None, 0)], None);
         let cert = order_cert(&p);
         match analyze_liveness(&p, &cert) {
-            LivenessVerdict::Live(c) => {
+            Verdict::Certified(c) => {
                 assert!((c.chain_s - 4e-3).abs() < 1e-12, "chain {}", c.chain_s);
             }
-            LivenessVerdict::Starved(w) => panic!("{w}"),
+            Verdict::Refuted(w) => panic!("{w}"),
         }
     }
 
@@ -274,10 +279,10 @@ mod tests {
         );
         let cert = order_cert(&p);
         match analyze_liveness(&p, &cert) {
-            LivenessVerdict::Live(c) => {
+            Verdict::Certified(c) => {
                 assert!((c.chain_s - 10e-3).abs() < 1e-12, "chain {}", c.chain_s);
             }
-            LivenessVerdict::Starved(w) => panic!("{w}"),
+            Verdict::Refuted(w) => panic!("{w}"),
         }
     }
 
@@ -288,11 +293,11 @@ mod tests {
         let p = proto(vec![class("link", 0, 1e-3, 3)], vec![site(None, 0)], None);
         let cert = order_cert(&p);
         match analyze_liveness(&p, &cert) {
-            LivenessVerdict::Live(c) => {
+            Verdict::Certified(c) => {
                 assert!((c.chain_s - 4e-3).abs() < 1e-12, "chain {}", c.chain_s);
                 assert_eq!(c.grant_bounds.len(), 1);
             }
-            LivenessVerdict::Starved(w) => panic!("{w}"),
+            Verdict::Refuted(w) => panic!("{w}"),
         }
     }
 
@@ -302,10 +307,10 @@ mod tests {
         let p = proto(vec![class("srv", 4, 1e-3, 8)], vec![site(None, 0)], None);
         let cert = order_cert(&p);
         match analyze_liveness(&p, &cert) {
-            LivenessVerdict::Live(c) => {
+            Verdict::Certified(c) => {
                 assert!((c.chain_s - 3e-3).abs() < 1e-12, "chain {}", c.chain_s);
             }
-            LivenessVerdict::Starved(w) => panic!("{w}"),
+            Verdict::Refuted(w) => panic!("{w}"),
         }
     }
 
@@ -321,11 +326,11 @@ mod tests {
         );
         let cert = order_cert(&p);
         match analyze_liveness(&p, &cert) {
-            LivenessVerdict::Live(c) => {
+            Verdict::Certified(c) => {
                 let m = c.watchdog_margin_s.expect("watchdog present");
                 assert!((m - (1.0 - 4e-3)).abs() < 1e-9);
             }
-            LivenessVerdict::Starved(w) => panic!("{w}"),
+            Verdict::Refuted(w) => panic!("{w}"),
         }
     }
 
@@ -341,12 +346,12 @@ mod tests {
         );
         let cert = order_cert(&p);
         match analyze_liveness(&p, &cert) {
-            LivenessVerdict::Starved(w) => {
+            Verdict::Refuted(w) => {
                 assert_eq!(w.class, "m");
                 assert_eq!(w.victim_position, 3);
                 assert!(w.timeout_s < w.grant_by_s);
             }
-            LivenessVerdict::Live(c) => panic!("must starve: {c}"),
+            Verdict::Certified(c) => panic!("must starve: {c}"),
         }
     }
 
@@ -359,10 +364,10 @@ mod tests {
         });
         let cert = order_cert(&p);
         match analyze_liveness(&p, &cert) {
-            LivenessVerdict::Live(c) => {
+            Verdict::Certified(c) => {
                 assert_eq!(c.retry_bound, Some((4, 0.07)));
             }
-            LivenessVerdict::Starved(w) => panic!("{w}"),
+            Verdict::Refuted(w) => panic!("{w}"),
         }
     }
 }

@@ -42,10 +42,11 @@ pub mod graph;
 pub mod liveness;
 pub mod protocols;
 
-pub use graph::{DeadlockCert, DeadlockWitness, LockSeqModel, OrderVerdict};
-pub use liveness::{LivenessCert, LivenessVerdict, StarvationWitness};
+pub use graph::{DeadlockCert, DeadlockWitness, LockSeqModel};
+pub use liveness::{LivenessCert, StarvationWitness};
 
-use crate::SectionResult;
+use crate::Replay;
+use cumf_core::Verdict;
 
 /// One lock class: a set of interchangeable resources acquired under a
 /// single position in the global order (a stripe family, a DES server,
@@ -129,112 +130,46 @@ impl Protocol {
     }
 }
 
-/// What the two passes concluded about one protocol.
+/// Why a protocol failed to certify.
 #[derive(Debug, Clone)]
-pub enum ProtocolOutcome {
-    /// Order proven acyclic *and* every waiter's grant bounded with the
-    /// watchdog (if any) strictly dominating the wait chain.
-    Certified {
-        /// The acyclicity certificate.
-        order: DeadlockCert,
-        /// The bounded-wait certificate.
-        live: LivenessCert,
-    },
+pub enum ProtocolWitness {
     /// The lock-order graph has a cycle; the witness carries the cycle,
     /// its source-anchored sites, and a replayable minimal schedule.
-    Deadlocked(DeadlockWitness),
-    /// Order is fine but a watchdog timeout does not dominate the
+    Deadlock(DeadlockWitness),
+    /// The order is acyclic but a watchdog timeout does not dominate the
     /// certified wait chain.
-    Starved {
-        /// The (valid) acyclicity certificate.
-        order: DeadlockCert,
-        /// The starvation counterexample.
-        witness: StarvationWitness,
-    },
+    Starvation(StarvationWitness),
 }
 
-impl ProtocolOutcome {
-    /// True when the protocol is fully certified.
-    pub fn certified(&self) -> bool {
-        matches!(self, ProtocolOutcome::Certified { .. })
+impl std::fmt::Display for ProtocolWitness {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProtocolWitness::Deadlock(w) => w.fmt(f),
+            ProtocolWitness::Starvation(w) => w.fmt(f),
+        }
+    }
+}
+
+impl Replay for ProtocolWitness {
+    fn replays(&self) -> bool {
+        match self {
+            ProtocolWitness::Deadlock(w) => w.replays(),
+            ProtocolWitness::Starvation(w) => w.replays(),
+        }
     }
 }
 
 /// Runs the order pass, then (only on an acyclic order) the liveness
-/// pass.
-pub fn analyze_protocol(p: &Protocol) -> ProtocolOutcome {
+/// pass. Certified means the order is proven acyclic *and* every
+/// waiter's grant is bounded with the watchdog (if any) strictly
+/// dominating the wait chain.
+pub fn analyze_protocol(p: &Protocol) -> Verdict<(DeadlockCert, LivenessCert), ProtocolWitness> {
     match graph::analyze_order(p) {
-        OrderVerdict::Cyclic(w) => ProtocolOutcome::Deadlocked(w),
-        OrderVerdict::Acyclic(order) => match liveness::analyze_liveness(p, &order) {
-            LivenessVerdict::Live(live) => ProtocolOutcome::Certified { order, live },
-            LivenessVerdict::Starved(witness) => ProtocolOutcome::Starved { order, witness },
+        Verdict::Refuted(w) => Verdict::Refuted(ProtocolWitness::Deadlock(w)),
+        Verdict::Certified(order) => match liveness::analyze_liveness(p, &order) {
+            Verdict::Certified(live) => Verdict::Certified((order, live)),
+            Verdict::Refuted(w) => Verdict::Refuted(ProtocolWitness::Starvation(w)),
         },
-    }
-}
-
-/// Runs the full deadlock/liveness campaign as an analyzer section:
-/// every shipped protocol must certify, every broken twin must be
-/// refuted with a concrete, replayable witness.
-pub fn run_section() -> SectionResult {
-    let mut lines = Vec::new();
-    let mut pass = true;
-    let mut certified = 0usize;
-    let mut refuted = 0usize;
-
-    for p in protocols::shipped_protocols() {
-        match analyze_protocol(&p) {
-            ProtocolOutcome::Certified { order, live } => {
-                certified += 1;
-                lines.push(format!("[ok] certified: {order}"));
-                lines.push(format!("[ok] live: {live}"));
-            }
-            ProtocolOutcome::Deadlocked(w) => {
-                pass = false;
-                lines.push(format!("[FAIL] shipped protocol deadlocks: {w}"));
-            }
-            ProtocolOutcome::Starved { witness, .. } => {
-                pass = false;
-                lines.push(format!("[FAIL] shipped protocol starves: {witness}"));
-            }
-        }
-    }
-
-    for p in protocols::broken_twins() {
-        match analyze_protocol(&p) {
-            ProtocolOutcome::Certified { .. } => {
-                pass = false;
-                lines.push(format!(
-                    "[FAIL] broken twin {} was certified — the analyzer refutes nothing",
-                    p.name
-                ));
-            }
-            ProtocolOutcome::Deadlocked(w) => {
-                let ok = w.replays;
-                pass &= ok;
-                refuted += usize::from(ok);
-                lines.push(format!("[{}] refuted: {w}", if ok { "ok" } else { "FAIL" }));
-            }
-            ProtocolOutcome::Starved { witness, .. } => {
-                let ok = witness.timeout_s <= witness.grant_by_s;
-                pass &= ok;
-                refuted += usize::from(ok);
-                lines.push(format!(
-                    "[{}] refuted: {witness}",
-                    if ok { "ok" } else { "FAIL" }
-                ));
-            }
-        }
-    }
-
-    lines.push(format!(
-        "{certified} shipped protocols certified, {refuted} broken twins refuted"
-    ));
-
-    SectionResult {
-        name: "deadlock",
-        pass,
-        ran: true,
-        lines,
     }
 }
 
@@ -244,7 +179,7 @@ mod tests {
 
     #[test]
     fn section_passes_end_to_end() {
-        let s = run_section();
+        let s = crate::deadlock_section();
         assert!(s.ran);
         assert!(s.pass, "{:#?}", s.lines);
         assert!(s.lines.iter().any(|l| l.contains("certified")));
@@ -255,7 +190,7 @@ mod tests {
     fn every_shipped_protocol_is_certified() {
         for p in protocols::shipped_protocols() {
             let out = analyze_protocol(&p);
-            assert!(out.certified(), "{} not certified: {out:?}", p.name);
+            assert!(out.is_certified(), "{} not certified: {out:?}", p.name);
         }
     }
 
@@ -264,16 +199,15 @@ mod tests {
         let twins = protocols::broken_twins();
         assert!(twins.len() >= 3, "refutation campaign needs ≥3 twins");
         for p in twins {
-            let out = analyze_protocol(&p);
-            match out {
-                ProtocolOutcome::Certified { .. } => {
-                    panic!("broken twin {} must not certify", p.name)
-                }
-                ProtocolOutcome::Deadlocked(w) => {
+            let Verdict::Refuted(w) = analyze_protocol(&p) else {
+                panic!("broken twin {} must not certify", p.name)
+            };
+            match w {
+                ProtocolWitness::Deadlock(w) => {
                     assert!(w.replays, "{}: witness must replay in the checker", p.name);
                     assert!(w.cycle.len() >= 2, "{}: cycle too short", p.name);
                 }
-                ProtocolOutcome::Starved { witness, .. } => {
+                ProtocolWitness::Starvation(witness) => {
                     assert!(
                         witness.timeout_s <= witness.grant_by_s,
                         "{}: starvation witness must show timeout ≤ grant bound",

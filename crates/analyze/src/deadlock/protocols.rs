@@ -465,7 +465,8 @@ pub fn broken_twins() -> Vec<Protocol> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deadlock::{analyze_protocol, ProtocolOutcome};
+    use crate::deadlock::{analyze_protocol, ProtocolWitness};
+    use cumf_core::Verdict;
 
     #[test]
     fn ships_seven_protocols_and_five_twins() {
@@ -530,7 +531,7 @@ mod tests {
             .find(|p| p.name == "twin/striped-abba")
             .unwrap();
         match analyze_protocol(abba) {
-            ProtocolOutcome::Deadlocked(w) => {
+            Verdict::Refuted(ProtocolWitness::Deadlock(w)) => {
                 assert!(w.cycle.contains(&"P.stripe".to_string()), "{w}");
                 assert!(w.cycle.contains(&"Q.stripe".to_string()), "{w}");
             }
@@ -546,7 +547,7 @@ mod tests {
         assert_eq!(w.timeout_s, anno.deadline_s);
         assert!(p.sites.iter().all(|s| s.held.is_none()), "entry-only");
         match analyze_protocol(&p) {
-            ProtocolOutcome::Certified { live, .. } => {
+            Verdict::Certified((_, live)) => {
                 // The deadline strictly dominates the certified chain.
                 assert!(anno.deadline_s > live.chain_s, "{live:?}");
             }
@@ -562,7 +563,7 @@ mod tests {
             .find(|p| p.name == "twin/serve-deadline-short")
             .unwrap();
         match analyze_protocol(short) {
-            ProtocolOutcome::Starved { witness, .. } => {
+            Verdict::Refuted(ProtocolWitness::Starvation(witness)) => {
                 assert!(witness.timeout_s <= witness.grant_by_s, "{witness}");
                 assert!(witness.class.contains("shard-read"), "{witness}");
             }
@@ -578,7 +579,7 @@ mod tests {
             .find(|p| p.name == "twin/watchdog-short")
             .unwrap();
         match analyze_protocol(short) {
-            ProtocolOutcome::Starved { witness, .. } => {
+            Verdict::Refuted(ProtocolWitness::Starvation(witness)) => {
                 assert!(witness.timeout_s < witness.grant_by_s, "{witness}");
                 assert!(witness.class.contains("pcie"), "{witness}");
             }

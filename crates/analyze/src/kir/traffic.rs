@@ -18,6 +18,7 @@
 //! with a concrete byte delta.
 
 use super::{Buf, Dtype, Inst, Program};
+use cumf_core::Verdict;
 use cumf_gpu_sim::executor::{simulate_throughput, SchedulerModel, ThroughputConfig};
 use cumf_gpu_sim::{Precision, RatingAccess, SgdUpdateCost};
 use std::collections::BTreeSet;
@@ -124,29 +125,22 @@ pub fn interpret_traffic(p: &Program, rating: RatingAccess) -> TrafficSummary {
     }
 }
 
-/// Verdict of the three-way kernel ↔ cost-model ↔ simulator agreement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckVerdict {
-    /// All three byte counts (and both flop counts) agree bit-for-bit.
-    Certified,
-    /// Two legs disagree; carries the concrete delta.
-    Refuted {
-        /// Which comparison failed (`"kir vs model bytes"`, …).
-        leg: &'static str,
-        /// The kernel-IR-derived value (ground truth).
-        expected: u64,
-        /// The disagreeing value.
-        got: u64,
-    },
+/// The first leg of the three-way kernel ↔ cost-model ↔ simulator
+/// agreement that disagrees, with the concrete values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LegMismatch {
+    /// Which comparison failed (`"kir vs model bytes"`, …).
+    pub leg: &'static str,
+    /// The kernel-IR-derived value (ground truth).
+    pub expected: u64,
+    /// The disagreeing value.
+    pub got: u64,
 }
 
-impl CheckVerdict {
-    /// Signed delta `got − expected` for a refutation, `0` otherwise.
+impl LegMismatch {
+    /// Signed delta `got − expected`.
     pub fn delta(&self) -> i64 {
-        match self {
-            CheckVerdict::Certified => 0,
-            CheckVerdict::Refuted { expected, got, .. } => *got as i64 - *expected as i64,
-        }
+        self.got as i64 - self.expected as i64
     }
 }
 
@@ -172,21 +166,15 @@ pub struct CostCrossCheck {
     pub model_flops: u64,
     /// Closed form backing `kir_bytes`.
     pub closed_form: LinExpr,
-    /// First failing leg, or `Certified`.
-    pub verdict: CheckVerdict,
-}
-
-impl CostCrossCheck {
-    /// True when every leg agreed.
-    pub fn certified(&self) -> bool {
-        self.verdict == CheckVerdict::Certified
-    }
+    /// Certified when all three byte counts (and both flop counts) agree
+    /// bit-for-bit, else the first failing leg.
+    pub verdict: Verdict<(), LegMismatch>,
 }
 
 impl std::fmt::Display for CostCrossCheck {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.verdict {
-            CheckVerdict::Certified => write!(
+            Verdict::Certified(()) => write!(
                 f,
                 "k={} {}: certified — {} B/update ({}), {} flops; executor charged {} B over {} updates",
                 self.k,
@@ -197,12 +185,15 @@ impl std::fmt::Display for CostCrossCheck {
                 self.executor_bytes,
                 self.executor_updates,
             ),
-            CheckVerdict::Refuted { leg, expected, got } => write!(
+            Verdict::Refuted(m) => write!(
                 f,
-                "k={} {}: REFUTED on {leg} — expected {expected}, got {got} (Δ {:+} B)",
+                "k={} {}: REFUTED on {} — expected {}, got {} (Δ {:+} B)",
                 self.k,
                 self.precision,
-                *got as i64 - *expected as i64,
+                m.leg,
+                m.expected,
+                m.got,
+                m.delta(),
             ),
         }
     }
@@ -240,26 +231,18 @@ pub fn cross_check_with_model(
     let t = interpret_traffic(&program, rating);
     let kir_bytes = t.bytes.eval(k);
     let (executor_updates, executor_bytes) = executor_witness(exec_cost, 10_000);
-    let verdict = if kir_bytes != model_bytes {
-        CheckVerdict::Refuted {
-            leg: "kir vs model bytes",
-            expected: kir_bytes,
-            got: model_bytes,
-        }
-    } else if t.flops != model_flops {
-        CheckVerdict::Refuted {
-            leg: "kir vs model flops",
-            expected: t.flops,
-            got: model_flops,
-        }
-    } else if executor_bytes != executor_updates * kir_bytes {
-        CheckVerdict::Refuted {
-            leg: "kir vs executor bytes",
-            expected: executor_updates * kir_bytes,
-            got: executor_bytes,
-        }
-    } else {
-        CheckVerdict::Certified
+    let legs = [
+        ("kir vs model bytes", kir_bytes, model_bytes),
+        ("kir vs model flops", t.flops, model_flops),
+        (
+            "kir vs executor bytes",
+            executor_updates * kir_bytes,
+            executor_bytes,
+        ),
+    ];
+    let verdict = match legs.into_iter().find(|&(_, expected, got)| expected != got) {
+        Some((leg, expected, got)) => Verdict::Refuted(LegMismatch { leg, expected, got }),
+        None => Verdict::Certified(()),
     };
     CostCrossCheck {
         k,
@@ -363,7 +346,7 @@ mod tests {
         for k in [16, 31, 64, 128] {
             for elem in [Dtype::F32, Dtype::F16] {
                 let c = cross_check(k, elem, RatingAccess::Streamed);
-                assert!(c.certified(), "{c}");
+                assert!(c.verdict.is_certified(), "{c}");
                 assert_eq!(c.executor_bytes, c.executor_updates * c.kir_bytes);
             }
         }
@@ -381,9 +364,9 @@ mod tests {
             cost.flops(),
             cost,
         );
-        assert!(!c.certified());
         // The twin under-counts by exactly one k-row of f32: −256 B.
-        assert_eq!(c.verdict.delta(), -(u64::from(k) as i64 * 4));
+        let w = c.verdict.witness().expect("broken twin must be refuted");
+        assert_eq!(w.delta(), -(u64::from(k) as i64 * 4));
         assert!(c.to_string().contains("REFUTED"), "{c}");
     }
 
@@ -403,10 +386,10 @@ mod tests {
         );
         assert!(matches!(
             c.verdict,
-            CheckVerdict::Refuted {
+            Verdict::Refuted(LegMismatch {
                 leg: "kir vs executor bytes",
                 ..
-            }
+            })
         ));
     }
 }

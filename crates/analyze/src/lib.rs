@@ -71,12 +71,14 @@ pub mod sanitizer;
 pub mod stale;
 
 pub use deadlock::{
-    DeadlockCert, DeadlockWitness, LivenessCert, ProtocolOutcome, StarvationWitness,
+    DeadlockCert, DeadlockWitness, LivenessCert, ProtocolWitness, StarvationWitness,
 };
 pub use mc::{check, CheckOutcome, Model, Violation, ViolationKind};
 pub use models::{CellModel, LockOrderModel, RowModel, WorkClaimModel};
 pub use prover::ProverCase;
-pub use stale::{PathOutcome, ShippedPath, StaleModel, StalenessWitness};
+pub use stale::{ShippedPath, StaleModel, StalenessWitness};
+
+use cumf_core::Verdict;
 
 /// State budget for each model-checker run; every model in [`models`] is
 /// orders of magnitude below this.
@@ -215,12 +217,84 @@ pub fn model_check_section() -> SectionResult {
     }
 }
 
+/// A refutation that can be checked independently of the pass that
+/// produced it: a witness that does not reproduce its violation proves
+/// nothing, so a broken twin only counts as refuted when it replays.
+pub trait Replay {
+    /// True when re-checking the witness reproduces the violation.
+    fn replays(&self) -> bool;
+}
+
+/// Runs a certify-and-refute campaign as a section named `name`: every
+/// shipped verdict must be certified (`report` renders the certificate's
+/// lines), and every named broken twin must be refuted with a witness
+/// that [`Replay`]s — an analyzer that cannot refute the twins proves
+/// nothing about the shipped `items`.
+fn certify_and_refute<C, T, W: Replay + std::fmt::Display>(
+    name: &'static str,
+    items: &str,
+    shipped: impl IntoIterator<Item = Verdict<C, W>>,
+    report: impl Fn(&C) -> Vec<String>,
+    twins: impl IntoIterator<Item = (&'static str, Verdict<T, W>)>,
+) -> SectionResult {
+    let mut lines = Vec::new();
+    let mut pass = true;
+    let mut certified = 0usize;
+    let mut refuted = 0usize;
+    for verdict in shipped {
+        match verdict {
+            Verdict::Certified(c) => {
+                certified += 1;
+                lines.extend(report(&c).into_iter().map(|l| format!("[ok] {l}")));
+            }
+            Verdict::Refuted(w) => {
+                pass = false;
+                lines.push(format!("[FAIL] not certified: {w}"));
+            }
+        }
+    }
+    for (twin, verdict) in twins {
+        match verdict {
+            Verdict::Certified(_) => {
+                pass = false;
+                lines.push(format!(
+                    "[FAIL] broken twin {twin} was certified — the analyzer refutes nothing"
+                ));
+            }
+            Verdict::Refuted(w) => {
+                let ok = w.replays();
+                pass &= ok;
+                refuted += usize::from(ok);
+                lines.push(format!("[{}] refuted: {w}", if ok { "ok" } else { "FAIL" }));
+            }
+        }
+    }
+    lines.push(format!(
+        "{certified} {items} certified, {refuted} broken twins refuted"
+    ));
+    SectionResult {
+        name,
+        pass,
+        ran: true,
+        lines,
+    }
+}
+
 /// Runs the static deadlock & liveness certifier as a section: every
-/// shipped blocking protocol must come back `Certified` (acyclic order,
+/// shipped blocking protocol must come back certified (acyclic order,
 /// bounded waits, dominating watchdog), and every seeded broken twin
 /// must be refuted with a concrete, replayable witness.
 pub fn deadlock_section() -> SectionResult {
-    deadlock::run_section()
+    use deadlock::{analyze_protocol, protocols};
+    certify_and_refute(
+        "deadlock",
+        "shipped protocols",
+        protocols::shipped_protocols().iter().map(analyze_protocol),
+        |(order, live)| vec![format!("certified: {order}"), format!("live: {live}")],
+        protocols::broken_twins()
+            .iter()
+            .map(|p| (p.name, analyze_protocol(p))),
+    )
 }
 
 /// Runs the static staleness & asynchrony certifier as a section: every
@@ -229,7 +303,24 @@ pub fn deadlock_section() -> SectionResult {
 /// schedule), and every broken twin must be refuted with a replayable
 /// [`StalenessWitness`].
 pub fn staleness_section() -> SectionResult {
-    stale::run_section()
+    certify_and_refute(
+        "staleness",
+        "update paths",
+        stale::shipped_paths().iter().map(stale::certify_path),
+        |(cert, mc)| {
+            vec![
+                format!("certified: {cert}"),
+                format!(
+                    "validated: {} states, {} transitions — observed staleness ≤ τ in every \
+                     interleaving",
+                    mc.states, mc.transitions
+                ),
+            ]
+        },
+        stale::broken_twins()
+            .iter()
+            .map(|twin| (twin.name, stale::check_model(twin))),
+    )
 }
 
 /// Grid the cost cross-check runs over: the acceptance matrix of
@@ -248,7 +339,7 @@ pub fn cost_section() -> SectionResult {
     for k in COST_CHECK_KS {
         for elem in [Dtype::F32, Dtype::F16] {
             let c = cross_check(k, elem, cumf_gpu_sim::RatingAccess::Streamed);
-            pass &= c.certified();
+            pass &= c.verdict.is_certified();
             lines.push(c.to_string());
         }
     }
@@ -264,7 +355,10 @@ pub fn cost_section() -> SectionResult {
         real.flops(),
         real,
     );
-    let refuted = !twin.certified() && twin.verdict.delta() == -(i64::from(k) * 4);
+    let refuted = twin
+        .verdict
+        .witness()
+        .is_some_and(|w| w.delta() == -(i64::from(k) * 4));
     pass &= refuted;
     lines.push(format!(
         "[{}] broken twin: {twin}",

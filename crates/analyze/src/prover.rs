@@ -11,8 +11,9 @@
 //! sample collides on a 1×1 matrix.
 
 use cumf_core::sched::{
-    certify, round_bound, BatchHogwildStream, LibmfTableStream, Verdict, WavefrontStream,
+    certify, round_bound, BatchHogwildStream, ConflictVerdict, LibmfTableStream, WavefrontStream,
 };
+use cumf_core::Verdict;
 use cumf_data::coo::CooMatrix;
 use cumf_rng::{ChaCha8Rng, Rng, SeedableRng};
 
@@ -24,7 +25,7 @@ pub struct ProverCase {
     /// Whether conflict-freedom was expected (the paper's claim).
     pub expect_certified: bool,
     /// The prover's verdict.
-    pub verdict: Verdict,
+    pub verdict: ConflictVerdict,
 }
 
 impl ProverCase {
@@ -65,7 +66,12 @@ pub fn random_dataset(m: u32, n: u32, nnz: usize, seed: u64) -> CooMatrix {
 }
 
 /// Certifies the wavefront-update schedule on `data`.
-pub fn certify_wavefront(data: &CooMatrix, workers: usize, seed: u64, epochs: u32) -> Verdict {
+pub fn certify_wavefront(
+    data: &CooMatrix,
+    workers: usize,
+    seed: u64,
+    epochs: u32,
+) -> ConflictVerdict {
     let cols = (2 * workers).max(2).min(data.cols() as usize);
     let mut stream = WavefrontStream::new(data, workers, cols, seed);
     certify(data, &mut stream, epochs, round_bound(data, workers))
@@ -78,7 +84,7 @@ pub fn certify_libmf(
     a: usize,
     seed: u64,
     epochs: u32,
-) -> Verdict {
+) -> ConflictVerdict {
     let mut stream = LibmfTableStream::new(data, workers, a, seed);
     certify(data, &mut stream, epochs, round_bound(data, workers))
 }
@@ -86,7 +92,7 @@ pub fn certify_libmf(
 /// Runs batch-Hogwild! against a dataset where *every* update touches
 /// the same P row and Q column (a 1×1 matrix), forcing a conflict in the
 /// first multi-worker round. The prover must refute with a witness.
-pub fn refute_batch_hogwild(workers: usize, batch: usize, samples: usize) -> Verdict {
+pub fn refute_batch_hogwild(workers: usize, batch: usize, samples: usize) -> ConflictVerdict {
     let mut data = CooMatrix::new(1, 1);
     for i in 0..samples {
         data.push(0, 0, (i % 3) as f32 - 1.0);

@@ -26,23 +26,24 @@
 //! * [`broken_twins`] seeds three deliberately-broken variants —
 //!   unsynchronised column writers on a shared stripe, the
 //!   `thread_batch` path with its epoch barrier removed, and a
-//!   partitioned grid whose blocks overlap — and [`refute_twin`]
-//!   must produce a [`StalenessWitness`] whose schedule replays to the
-//!   excess staleness in the checker, because a certifier that cannot
-//!   refute the twins proves nothing about the paths.
+//!   partitioned grid whose blocks overlap — and [`check_model`]
+//!   must refute each with a [`StalenessWitness`] whose schedule replays
+//!   to the excess staleness in the checker, because a certifier that
+//!   cannot refute the twins proves nothing about the paths.
 
 pub mod models;
 
 pub use models::{BarrierKind, StaleModel};
 
 use crate::mc::{self, CheckOutcome};
-use crate::{SectionResult, MC_STATE_BUDGET};
+use crate::{Replay, MC_STATE_BUDGET};
 use cumf_core::concurrent::UPDATE_PATHS;
 use cumf_core::lrate::Schedule;
 use cumf_core::partition::{schedule_epoch, Grid};
 use cumf_core::stale::{
     certify_staleness, staleness_bound, Footprint, PathSpec, StaleCert, SyncEdge, SyncKind,
 };
+use cumf_core::Verdict;
 use cumf_data::CooMatrix;
 use cumf_rng::{ChaCha8Rng, SeedableRng};
 
@@ -279,50 +280,47 @@ impl std::fmt::Display for StalenessWitness {
     }
 }
 
-/// Outcome of certifying one shipped path.
-pub enum PathOutcome {
-    /// τ finite, exhaustively validated, lr·τ condition holds.
-    Certified {
-        /// The lr·τ certificate for the reference configuration.
-        cert: StaleCert,
-        /// The exhaustive validation of the bound.
-        mc: CheckOutcome,
-    },
-    /// The bound (or the lr·τ condition) was refuted.
-    Refuted(StalenessWitness),
-}
-
-impl PathOutcome {
-    /// True when the path certified.
-    pub fn certified(&self) -> bool {
-        matches!(self, PathOutcome::Certified { .. })
+impl Replay for StalenessWitness {
+    fn replays(&self) -> bool {
+        self.replays
     }
 }
 
-/// Certifies one shipped path: exhaustive interleaving validation of
-/// the claimed τ, then the lr·τ certificate against the reference
-/// schedule.
-pub fn certify_path(path: &ShippedPath) -> PathOutcome {
-    let out = mc::check(&path.model, MC_STATE_BUDGET);
+/// Exhaustively checks `model`'s claimed τ over every interleaving:
+/// the checker's outcome when observed staleness never exceeds it, else
+/// a witness (one that replays when the checker found a violation).
+pub fn check_model(model: &StaleModel) -> Verdict<CheckOutcome, StalenessWitness> {
+    let out = mc::check(model, MC_STATE_BUDGET);
     if let Some(v) = &out.violation {
-        return PathOutcome::Refuted(witness_from_violation(
-            &path.model,
+        return Verdict::Refuted(witness_from_violation(
+            model,
             v.detail.clone(),
             v.schedule.clone(),
         ));
     }
     if out.truncated {
-        return PathOutcome::Refuted(StalenessWitness {
-            path: path.model.name,
-            claimed_tau: u64::from(path.model.claimed_tau),
+        return Verdict::Refuted(StalenessWitness {
+            path: model.name,
+            claimed_tau: u64::from(model.claimed_tau),
             detail: format!("state budget exhausted after {} states", out.states),
             schedule: Vec::new(),
             replays: false,
         });
     }
+    Verdict::Certified(out)
+}
+
+/// Certifies one shipped path: exhaustive interleaving validation of
+/// the claimed τ, then the lr·τ certificate against the reference
+/// schedule.
+pub fn certify_path(path: &ShippedPath) -> Verdict<(StaleCert, CheckOutcome), StalenessWitness> {
+    let mc = match check_model(&path.model) {
+        Verdict::Certified(mc) => mc,
+        Verdict::Refuted(w) => return Verdict::Refuted(w),
+    };
     match certify_staleness(&path.spec, &ref_schedule(), REF_EPOCHS) {
-        cumf_core::stale::StaleVerdict::Certified(cert) => PathOutcome::Certified { cert, mc: out },
-        cumf_core::stale::StaleVerdict::Refuted(w) => PathOutcome::Refuted(StalenessWitness {
+        Verdict::Certified(cert) => Verdict::Certified((cert, mc)),
+        Verdict::Refuted(w) => Verdict::Refuted(StalenessWitness {
             path: path.model.name,
             claimed_tau: u64::from(path.model.claimed_tau),
             detail: w.detail,
@@ -398,80 +396,13 @@ pub fn broken_twins() -> Vec<StaleModel> {
     ]
 }
 
-/// Refutes one broken twin: the checker must find an interleaving whose
-/// observed staleness exceeds the claimed τ, and the witness schedule
-/// must replay. Returns `None` if the twin (wrongly) verifies.
-pub fn refute_twin(twin: &StaleModel) -> Option<StalenessWitness> {
-    let out = mc::check(twin, MC_STATE_BUDGET);
-    let v = out.violation?;
-    Some(witness_from_violation(twin, v.detail, v.schedule))
-}
-
-/// Runs the full staleness campaign as an analyzer section: every
-/// shipped update path must certify (finite τ, exhaustively validated,
-/// lr·τ condition under the reference schedule), every broken twin must
-/// be refuted with a replayable witness.
-pub fn run_section() -> SectionResult {
-    let mut lines = Vec::new();
-    let mut pass = true;
-    let mut certified = 0usize;
-    let mut refuted = 0usize;
-
-    for path in shipped_paths() {
-        match certify_path(&path) {
-            PathOutcome::Certified { cert, mc } => {
-                certified += 1;
-                lines.push(format!("[ok] certified: {cert}"));
-                lines.push(format!(
-                    "[ok] validated: {} states, {} transitions — observed staleness ≤ τ in \
-                     every interleaving",
-                    mc.states, mc.transitions
-                ));
-            }
-            PathOutcome::Refuted(w) => {
-                pass = false;
-                lines.push(format!("[FAIL] shipped path refuted: {w}"));
-            }
-        }
-    }
-
-    for twin in broken_twins() {
-        match refute_twin(&twin) {
-            Some(w) => {
-                let ok = w.replays;
-                pass &= ok;
-                refuted += usize::from(ok);
-                lines.push(format!("[{}] refuted: {w}", if ok { "ok" } else { "FAIL" }));
-            }
-            None => {
-                pass = false;
-                lines.push(format!(
-                    "[FAIL] broken twin {} was certified — the certifier refutes nothing",
-                    twin.name
-                ));
-            }
-        }
-    }
-
-    lines.push(format!(
-        "{certified} update paths certified, {refuted} broken twins refuted"
-    ));
-
-    SectionResult {
-        name: "staleness",
-        pass,
-        ran: true,
-        lines,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn section_passes_end_to_end() {
-        let s = run_section();
+        let s = crate::staleness_section();
         assert!(s.ran);
         assert!(s.pass, "{:#?}", s.lines);
         assert!(s.lines.iter().any(|l| l.contains("certified")));
@@ -489,13 +420,12 @@ mod tests {
         for p in paths {
             let tau = staleness_bound(&p.spec).expect("shipped τ must be finite");
             assert_eq!(tau, u64::from(p.model.claimed_tau));
-            let out = certify_path(&p);
-            match out {
-                PathOutcome::Certified { cert, mc } => {
+            match certify_path(&p) {
+                Verdict::Certified((cert, mc)) => {
                     assert!(cert.lr_tau < 1.0, "{cert}");
                     assert!(mc.verified(), "{mc}");
                 }
-                PathOutcome::Refuted(w) => panic!("{} refuted: {w}", p.spec.name),
+                Verdict::Refuted(w) => panic!("{} refuted: {w}", p.spec.name),
             }
         }
     }
@@ -505,8 +435,9 @@ mod tests {
         let twins = broken_twins();
         assert!(twins.len() >= 3, "refutation campaign needs ≥3 twins");
         for twin in twins {
-            let w = refute_twin(&twin)
-                .unwrap_or_else(|| panic!("broken twin {} must not certify", twin.name));
+            let Verdict::Refuted(w) = check_model(&twin) else {
+                panic!("broken twin {} must not certify", twin.name)
+            };
             assert!(
                 w.replays,
                 "{}: witness must replay in the checker",

@@ -148,12 +148,7 @@ pub fn mad(xs: &[f64]) -> f64 {
 
 /// 64-bit FNV-1a over bytes, rendered as fixed-width hex.
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", cumf_core::digest::fnv1a64(bytes))
 }
 
 // ---------------------------------------------------------------- DES suite

@@ -29,9 +29,7 @@ use std::sync::Arc;
 
 use cumf_data::CooMatrix;
 
-use crate::engine::model::ModelView;
 use crate::feature::{Element, FactorMatrix};
-use crate::sched::UpdateStream;
 
 /// How parallel updates are applied to the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,80 +76,6 @@ impl EpochStats {
 /// Default consecutive-sample claim size for the threaded executors — the
 /// paper's `f = 256` ([`crate::sched::BatchHogwildStream::DEFAULT_F`]).
 pub const DEFAULT_THREAD_BATCH: usize = crate::sched::BatchHogwildStream::DEFAULT_F;
-
-/// Execution knobs for [`run_epoch_with`] that are not part of the
-/// scheduling policy itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecParams {
-    /// Samples each OS thread claims per shared-counter grab in
-    /// [`ExecMode::Threaded`] (ignored by the other modes).
-    pub thread_batch: usize,
-}
-
-impl Default for ExecParams {
-    fn default() -> Self {
-        ExecParams {
-            thread_batch: DEFAULT_THREAD_BATCH,
-        }
-    }
-}
-
-/// Runs one epoch of `stream` against `(p, q)` with learning rate `gamma`
-/// and regularisation `lambda`. Thin compatibility wrapper over the
-/// bias-capable epoch bodies in [`crate::engine::exec`], using the default
-/// [`ExecParams`].
-pub fn run_epoch<E: Element, S: UpdateStream + ?Sized>(
-    data: &CooMatrix,
-    p: &mut FactorMatrix<E>,
-    q: &mut FactorMatrix<E>,
-    stream: &mut S,
-    gamma: f32,
-    lambda: f32,
-    mode: ExecMode,
-) -> EpochStats {
-    run_epoch_with(
-        data,
-        p,
-        q,
-        stream,
-        gamma,
-        lambda,
-        mode,
-        ExecParams::default(),
-    )
-}
-
-/// [`run_epoch`] with explicit [`ExecParams`] — the configurable seam the
-/// model checker and benches use to exercise small thread batches.
-#[allow(clippy::too_many_arguments)]
-pub fn run_epoch_with<E: Element, S: UpdateStream + ?Sized>(
-    data: &CooMatrix,
-    p: &mut FactorMatrix<E>,
-    q: &mut FactorMatrix<E>,
-    stream: &mut S,
-    gamma: f32,
-    lambda: f32,
-    mode: ExecMode,
-    params: ExecParams,
-) -> EpochStats {
-    let view = ModelView { p, q, bias: None };
-    match mode {
-        ExecMode::Sequential => {
-            crate::engine::exec::sequential_epoch(data, view, stream, gamma, lambda, None)
-        }
-        ExecMode::StaleAdditive => {
-            crate::engine::exec::stale_additive_epoch(data, view, stream, gamma, lambda)
-        }
-        ExecMode::Threaded => crate::engine::exec::threaded_epoch(
-            data,
-            view,
-            stream.workers().max(1),
-            params.thread_batch.max(1),
-            gamma,
-            lambda,
-        ),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Real-thread Hogwild! (cross-validation executor)
@@ -288,6 +212,8 @@ pub fn threaded_hogwild_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::exec::{sequential_epoch, stale_additive_epoch};
+    use crate::engine::model::ModelView;
     use crate::sched::{BatchHogwildStream, SerialStream};
     use cumf_rng::ChaCha8Rng;
     use cumf_rng::SeedableRng;
@@ -298,6 +224,10 @@ mod tests {
             coo.push(i % 20, (i * 7) % 20, ((i % 5) as f32) - 2.0);
         }
         coo
+    }
+
+    fn view<'a>(p: &'a mut FactorMatrix<f32>, q: &'a mut FactorMatrix<f32>) -> ModelView<'a, f32> {
+        ModelView { p, q, bias: None }
     }
 
     fn init(m: u32, n: u32, k: u32) -> (FactorMatrix<f32>, FactorMatrix<f32>) {
@@ -313,15 +243,7 @@ mod tests {
         let data = tiny_data();
         let (mut p, mut q) = init(20, 20, 4);
         let mut stream = SerialStream::new(data.nnz());
-        let stats = run_epoch(
-            &data,
-            &mut p,
-            &mut q,
-            &mut stream,
-            0.05,
-            0.01,
-            ExecMode::Sequential,
-        );
+        let stats = sequential_epoch(&data, view(&mut p, &mut q), &mut stream, 0.05, 0.01, None);
         assert_eq!(stats.updates, 200);
         assert_eq!(stats.stalls, 0);
         assert_eq!(stats.rounds, 201); // +1 round to observe exhaustion
@@ -336,24 +258,8 @@ mod tests {
         let (mut p2, mut q2) = (p1.clone(), q1.clone());
         let mut s1 = SerialStream::new(data.nnz());
         let mut s2 = SerialStream::new(data.nnz());
-        run_epoch(
-            &data,
-            &mut p1,
-            &mut q1,
-            &mut s1,
-            0.05,
-            0.01,
-            ExecMode::Sequential,
-        );
-        run_epoch(
-            &data,
-            &mut p2,
-            &mut q2,
-            &mut s2,
-            0.05,
-            0.01,
-            ExecMode::StaleAdditive,
-        );
+        sequential_epoch(&data, view(&mut p1, &mut q1), &mut s1, 0.05, 0.01, None);
+        stale_additive_epoch(&data, view(&mut p2, &mut q2), &mut s2, 0.05, 0.01);
         for r in 0..20 {
             for (a, b) in p1.row(r).iter().zip(p2.row(r)) {
                 assert!((a - b).abs() < 1e-6);
@@ -373,15 +279,7 @@ mod tests {
         }
         let (mut p, mut q) = init(1, 1, 2);
         let mut stream = BatchHogwildStream::new(coo.nnz(), 2, 1);
-        let stats = run_epoch(
-            &coo,
-            &mut p,
-            &mut q,
-            &mut stream,
-            0.01,
-            0.0,
-            ExecMode::StaleAdditive,
-        );
+        let stats = stale_additive_epoch(&coo, view(&mut p, &mut q), &mut stream, 0.01, 0.0);
         assert_eq!(stats.updates, 10);
         assert!(stats.row_collisions >= 4, "{stats:?}");
         assert!(stats.col_collisions >= 4);
@@ -397,15 +295,7 @@ mod tests {
         }
         let (mut p, mut q) = init(1000, 1000, 2);
         let mut stream = BatchHogwildStream::new(coo.nnz(), 4, 16);
-        let stats = run_epoch(
-            &coo,
-            &mut p,
-            &mut q,
-            &mut stream,
-            0.01,
-            0.0,
-            ExecMode::StaleAdditive,
-        );
+        let stats = stale_additive_epoch(&coo, view(&mut p, &mut q), &mut stream, 0.01, 0.0);
         // s=4 workers, 1000x1000: collision probability per round ~ 6/1000.
         let frac = (stats.row_collisions + stats.col_collisions) as f64 / stats.rounds as f64;
         assert!(frac < 0.05, "collision fraction {frac}");
@@ -822,8 +712,21 @@ mod striped_tests {
     use cumf_rng::ChaCha8Rng;
     use cumf_rng::SeedableRng;
 
+    /// Serialises the tests that take stripes: the acquisition counter is
+    /// process-global, so a sibling taking stripes concurrently would move
+    /// it between one test's read and its exact assertion.
+    static STRIPES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn take_stripes() -> std::sync::MutexGuard<'static, ()> {
+        // A should-panic sibling poisons the lock; the guarded state is `()`.
+        STRIPES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn striped_epoch_runs_all_updates_and_converges() {
+        let _stripes = take_stripes();
         let d = generate(&SynthConfig {
             m: 200,
             n: 150,
@@ -854,6 +757,7 @@ mod striped_tests {
 
     #[test]
     fn striped_storage_round_trips() {
+        let _stripes = take_stripes();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let m: FactorMatrix<f32> = FactorMatrix::random_init(10, 3, &mut rng);
         let s = StripedFactors::from_matrix(&m, 4);
@@ -867,6 +771,7 @@ mod striped_tests {
 
     #[test]
     fn poisoned_stripe_counts_distinctly_and_acquisition_counts_after_hold() {
+        let _stripes = take_stripes();
         cumf_obs::set_enabled(true);
         let acquired = cumf_obs::counter(
             "cumf_core_stripe_acquisitions_total",
@@ -907,6 +812,7 @@ mod striped_tests {
 
     #[test]
     fn two_row_update_acquires_ascending_stripes() {
+        let _stripes = take_stripes();
         // The canonical order is a pure function of the (unordered) row
         // pair: sorted by stripe index and symmetric in the arguments —
         // the property the deadlock pass certifies statically.
@@ -947,6 +853,7 @@ mod striped_tests {
     #[test]
     #[should_panic(expected = "distinct rows")]
     fn two_row_update_rejects_duplicate_row() {
+        let _stripes = take_stripes();
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let m: FactorMatrix<f32> = FactorMatrix::random_init(4, 2, &mut rng);
         let s = StripedFactors::from_matrix(&m, 2);
@@ -955,6 +862,7 @@ mod striped_tests {
 
     #[test]
     fn two_row_heavy_contention_is_deadlock_free() {
+        let _stripes = take_stripes();
         // Half the threads update (0, 1), half (1, 0): under a naive
         // argument-order acquisition this is the ABBA pattern; the
         // canonical ascending-stripe order must let it finish.
@@ -1003,6 +911,7 @@ mod striped_tests {
 
     #[test]
     fn heavy_contention_is_deadlock_free() {
+        let _stripes = take_stripes();
         // All samples share one row and one column: every update contends
         // on the same two stripes. Must finish (canonical lock order).
         let mut coo = CooMatrix::new(2, 2);

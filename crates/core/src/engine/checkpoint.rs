@@ -20,7 +20,7 @@ use std::fs::File;
 use std::io::{Cursor, Read, Write};
 use std::path::Path;
 
-use crate::faults::fnv1a64;
+use crate::digest::fnv1a64;
 use crate::feature::Element;
 use crate::lrate::LrState;
 use crate::metrics::{Trace, TracePoint};

@@ -17,12 +17,13 @@
 use cumf_data::synth::{generate, SynthConfig};
 use cumf_gpu_sim::{PCIE3_X16, TITAN_X_MAXWELL};
 
+use crate::digest::fnv1a64;
 use crate::lrate::Schedule;
 use crate::multi_gpu::MultiGpuConfig;
 
 use super::retry::RetryPolicy;
 use super::supervisor::{SupervisorConfig, TrainError, TrainSupervisor};
-use super::{fnv1a64, FaultKind, FaultPlan};
+use super::{FaultKind, FaultPlan};
 
 /// Options of a chaos run.
 #[derive(Debug, Clone, Copy)]

@@ -43,17 +43,9 @@ pub use supervisor::{
 
 use cumf_rng::{ChaCha8Rng, Rng, SeedableRng};
 
-/// FNV-1a over a byte slice — the workspace's dependency-free digest,
-/// shared by the CMFK checkpoint footer, the partition hand-off checksums,
-/// and the recovery-log determinism digests.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The recovery-log and fault-plan digest, re-exported where downstream
+/// tools already import it.
+pub use crate::digest::fnv1a64;
 
 /// What goes wrong. Each variant names one seam of the stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -375,14 +367,6 @@ impl std::fmt::Display for RecoveryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn plan_is_deterministic_in_its_seed() {

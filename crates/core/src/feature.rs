@@ -7,6 +7,7 @@
 
 use cumf_rng::Rng;
 
+use crate::digest::Fnv1a;
 use crate::half::F16;
 
 /// A storage element of a factor matrix: converts to/from f32 compute form.
@@ -161,14 +162,12 @@ impl<E: Element> FactorMatrix<E> {
     /// before a (simulated) transfer and verified after, so corruption on
     /// the link is detected rather than silently trained on.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for e in &self.data {
-            for b in e.to_f32().to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.data
+            .iter()
+            .fold(Fnv1a::new(), |h, e| {
+                h.bytes(&e.to_f32().to_bits().to_le_bytes())
+            })
+            .finish()
     }
 
     /// Copies rows `range` out as a new matrix (a P/Q *segment* for the

@@ -15,6 +15,7 @@
 
 use cumf_gpu_sim::{Precision, RatingAccess, SgdUpdateCost};
 
+use crate::digest::Fnv1a;
 use crate::feature::Element;
 
 /// The storage precision a factor [`Element`] type corresponds to in the
@@ -175,18 +176,13 @@ impl CostCert {
             }
         };
         let time_model_drift = time_model.map(|tm| tm.bytes() as i64 - kernel_bytes as i64);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(k as u64);
-        mix(E::BYTES as u64);
-        mix(kernel_bytes);
-        mix(kernel_flops);
-        mix(matches!(status, CostCertStatus::Certified) as u64);
+        let digest = Fnv1a::new()
+            .u64(u64::from(k))
+            .u64(E::BYTES as u64)
+            .u64(kernel_bytes)
+            .u64(kernel_flops)
+            .u64(u64::from(matches!(status, CostCertStatus::Certified)))
+            .finish();
         CostCert {
             k,
             precision: E::NAME,
@@ -194,7 +190,7 @@ impl CostCert {
             flops_per_update: kernel_flops,
             status,
             time_model_drift,
-            digest: h,
+            digest,
         }
     }
 

@@ -30,7 +30,10 @@
 //! * [`faults`] — deterministic fault injection (device loss, transfer
 //!   corruption/stalls, NaN storms) and the self-healing training
 //!   supervisor with retry, rollback, and graceful-degradation policies;
-//! * [`metrics`] — test RMSE, Eq. 2 loss, Eq. 7 throughput, traces.
+//! * [`metrics`] — test RMSE, Eq. 2 loss, Eq. 7 throughput, traces;
+//! * [`digest`] and [`Verdict`] — the certificate building blocks: the
+//!   one FNV-1a digest every fingerprint uses, and the certified-or-refuted
+//!   outcome every certifier returns.
 //!
 //! ## Quick start
 //!
@@ -51,6 +54,7 @@
 
 pub mod bias;
 pub mod concurrent;
+pub mod digest;
 pub mod engine;
 pub mod faults;
 pub mod feature;
@@ -68,9 +72,7 @@ pub mod solver;
 pub mod stale;
 
 pub use bias::{train_biased, BiasedConfig, BiasedModel, BiasedResult};
-pub use concurrent::{
-    AtomicFactors, EpochStats, ExecMode, ExecParams, StripedFactors, DEFAULT_THREAD_BATCH,
-};
+pub use concurrent::{AtomicFactors, EpochStats, ExecMode, StripedFactors, DEFAULT_THREAD_BATCH};
 pub use engine::{
     BiasTerms, EngineModel, EpochBackend, EpochObserver, EpochPipeline, ExecEngine, PipelineRun,
     ResumeState, TimeDomain, TrainReport,
@@ -89,12 +91,45 @@ pub use multi_gpu::{train_partitioned, MultiGpuConfig, MultiGpuResult};
 pub use partition::{
     count_feasible_orders, schedule_epoch, segment_of, segment_range, BlockId, Grid, WaveSchedule,
 };
-pub use sched::{certify, resolve_exec_mode, ConflictCert, ConflictWitness, Verdict};
+pub use sched::{certify, resolve_exec_mode, ConflictCert, ConflictVerdict, ConflictWitness};
 pub use solver::{train, Scheme, SolverConfig, TimeModel, TrainResult};
 pub use stale::{
     certify_staleness, resolve_stale_mode, staleness_bound, Footprint, PathSpec, StaleCert,
     StaleVerdict, StaleWitness, SyncEdge, SyncKind, UpdatePathAnno,
 };
+
+/// Outcome of a certifier: a certificate `C` that the property holds, or
+/// a witness `W` — a concrete counterexample — that it does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict<C, W> {
+    /// The property holds; here is the certificate.
+    Certified(C),
+    /// The property fails; here is the counterexample.
+    Refuted(W),
+}
+
+impl<C, W> Verdict<C, W> {
+    /// True for [`Verdict::Certified`].
+    pub fn is_certified(&self) -> bool {
+        matches!(self, Verdict::Certified(_))
+    }
+
+    /// The certificate, if the property was certified.
+    pub fn certificate(&self) -> Option<&C> {
+        match self {
+            Verdict::Certified(c) => Some(c),
+            Verdict::Refuted(_) => None,
+        }
+    }
+
+    /// The counterexample, if the property was refuted.
+    pub fn witness(&self) -> Option<&W> {
+        match self {
+            Verdict::Certified(_) => None,
+            Verdict::Refuted(w) => Some(w),
+        }
+    }
+}
 
 /// Canonical re-export of the per-update memory cost model: core code and
 /// downstream crates import `SgdUpdateCost` from exactly one path per

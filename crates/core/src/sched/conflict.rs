@@ -36,6 +36,8 @@
 use cumf_data::{CooMatrix, Entry};
 
 use crate::concurrent::ExecMode;
+use crate::digest::Fnv1a;
+use crate::Verdict;
 
 use super::{StreamItem, UpdateStream};
 
@@ -124,7 +126,7 @@ impl ConflictCert {
             epochs_checked: 0,
             rounds: 0,
             samples: 0,
-            schedule_digest: FNV_OFFSET,
+            schedule_digest: Fnv1a::new().finish(),
         }
     }
 }
@@ -149,64 +151,9 @@ impl std::fmt::Display for ConflictCert {
     }
 }
 
-/// Outcome of driving a schedule through the prover.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// No round of any checked epoch overlaps.
-    Certified(ConflictCert),
-    /// The schedule conflicts; here is the first counterexample.
-    Refuted(ConflictWitness),
-}
-
-impl Verdict {
-    /// True for [`Verdict::Certified`].
-    pub fn is_certified(&self) -> bool {
-        matches!(self, Verdict::Certified(_))
-    }
-
-    /// The certificate, if the schedule certified.
-    pub fn certificate(&self) -> Option<&ConflictCert> {
-        match self {
-            Verdict::Certified(c) => Some(c),
-            Verdict::Refuted(_) => None,
-        }
-    }
-
-    /// The counterexample, if the schedule was refuted.
-    pub fn witness(&self) -> Option<&ConflictWitness> {
-        match self {
-            Verdict::Certified(_) => None,
-            Verdict::Refuted(w) => Some(w),
-        }
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// `FNV_PRIME` to the powers 0 through 8.
-const FNV_PRIME_POWERS: [u64; 9] = {
-    let mut p = [1u64; 9];
-    let mut i = 1;
-    while i < 9 {
-        p[i] = p[i - 1].wrapping_mul(FNV_PRIME);
-        i += 1;
-    }
-    p
-};
-
-/// FNV-1a over the 8 little-endian bytes of `v`. A zero byte only
-/// multiplies by the prime, so `v`'s high zero bytes fold into one
-/// multiply by a power of it.
-#[inline]
-fn fnv1a(mut h: u64, v: u64) -> u64 {
-    let len = (64 - v.leading_zeros() as usize).div_ceil(8);
-    for &b in &v.to_le_bytes()[..len] {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h.wrapping_mul(FNV_PRIME_POWERS[8 - len])
-}
+/// Outcome of driving a schedule through the prover: a certificate, or
+/// the first counterexample.
+pub type ConflictVerdict = Verdict<ConflictCert, ConflictWitness>;
 
 /// One round's claims on P rows and Q columns, in the order workers
 /// took their samples.
@@ -282,8 +229,9 @@ impl RoundClaims {
 /// updates. Epochs must be fed in ascending order: the digest is a fold.
 #[derive(Debug, Clone)]
 pub struct Certifier {
-    /// Counts and digest so far; the certificate once all epochs are in.
+    /// Counts so far; the certificate once all epochs are in.
     cert: ConflictCert,
+    digest: Fnv1a,
     max_rounds_per_epoch: u64,
     claims: RoundClaims,
     witness: Option<ConflictWitness>,
@@ -297,13 +245,10 @@ impl Certifier {
     pub fn new(schedule: &'static str, workers: usize, max_rounds_per_epoch: u64) -> Self {
         Certifier {
             cert: ConflictCert {
-                schedule,
                 workers,
-                epochs_checked: 0,
-                rounds: 0,
-                samples: 0,
-                schedule_digest: FNV_OFFSET,
+                ..ConflictCert::trivial(schedule)
             },
+            digest: Fnv1a::new(),
             max_rounds_per_epoch,
             claims: RoundClaims::with_capacity(workers),
             witness: None,
@@ -374,12 +319,12 @@ impl Certifier {
                 }
                 None => {
                     self.cert.samples += 1;
-                    let mut h = self.cert.schedule_digest;
-                    h = fnv1a(h, u64::from(self.epoch));
-                    h = fnv1a(h, self.round);
-                    h = fnv1a(h, worker as u64);
-                    h = fnv1a(h, sample as u64);
-                    self.cert.schedule_digest = h;
+                    self.digest = self
+                        .digest
+                        .u64(u64::from(self.epoch))
+                        .u64(self.round)
+                        .u64(worker as u64)
+                        .u64(sample as u64);
                 }
             }
         }
@@ -441,10 +386,13 @@ impl Certifier {
 
     /// The verdict over every epoch fed so far: the first witness, or the
     /// certificate.
-    pub fn verdict(&self) -> Verdict {
+    pub fn verdict(&self) -> ConflictVerdict {
         match self.witness {
             Some(w) => Verdict::Refuted(w),
-            None => Verdict::Certified(self.cert),
+            None => Verdict::Certified(ConflictCert {
+                schedule_digest: self.digest.finish(),
+                ..self.cert
+            }),
         }
     }
 }
@@ -473,7 +421,7 @@ pub fn certify<S: UpdateStream + ?Sized>(
     stream: &mut S,
     epochs: u32,
     max_rounds_per_epoch: u64,
-) -> Verdict {
+) -> ConflictVerdict {
     if stream.workers() <= 1 {
         // A single worker cannot pair-conflict.
         return Verdict::Certified(ConflictCert::trivial(stream.name()));
@@ -496,7 +444,7 @@ pub fn round_bound(data: &CooMatrix, workers: usize) -> u64 {
 /// certified; [`ExecMode::StaleAdditive`] (the engine that models its
 /// races honestly) when refuted, with a warning. Counts either outcome
 /// in the `cumf_core_sched_{certified,refuted}_total` series.
-pub(crate) fn adjudicate(verdict: &Verdict, schedule: &str) -> ExecMode {
+pub(crate) fn adjudicate(verdict: &ConflictVerdict, schedule: &str) -> ExecMode {
     match verdict {
         Verdict::Certified(_) => {
             cumf_obs::counter(
@@ -538,7 +486,7 @@ pub fn resolve_exec_mode<S: UpdateStream + ?Sized>(
     probe: &mut S,
     default_mode: ExecMode,
     epochs: u32,
-) -> (ExecMode, Option<Verdict>) {
+) -> (ExecMode, Option<ConflictVerdict>) {
     if default_mode != ExecMode::Sequential {
         return (default_mode, None);
     }
@@ -587,30 +535,6 @@ mod tests {
         assert_eq!(ca, cb, "deterministic schedule, deterministic cert");
         assert_eq!(ca.samples, 4 * 1500);
         assert!(ca.schedule_digest != 0);
-    }
-
-    #[test]
-    fn folded_fnv_matches_bytewise_fnv() {
-        let bytewise = |mut h: u64, v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        };
-        for v in [
-            0,
-            1,
-            255,
-            256,
-            65_535,
-            1 << 24,
-            u64::from(u32::MAX),
-            1 << 56,
-            u64::MAX,
-        ] {
-            assert_eq!(fnv1a(FNV_OFFSET, v), bytewise(FNV_OFFSET, v), "{v}");
-        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ mod wavefront;
 pub use batch_hogwild::BatchHogwildStream;
 pub(crate) use conflict::adjudicate;
 pub use conflict::{
-    certify, resolve_exec_mode, round_bound, Axis, Certifier, Clash, ConflictCert, ConflictWitness,
-    RoundClaims, Verdict,
+    certify, resolve_exec_mode, round_bound, Axis, Certifier, Clash, ConflictCert, ConflictVerdict,
+    ConflictWitness, RoundClaims,
 };
 pub use hogwild::HogwildStream;
 pub use libmf::LibmfTableStream;

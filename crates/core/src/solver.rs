@@ -30,8 +30,8 @@ use crate::model_io::ModelIoError;
 use crate::stale::StaleVerdict;
 
 use crate::sched::{
-    adjudicate, round_bound, BatchHogwildStream, Certifier, HogwildStream, LibmfTableStream,
-    SerialStream, UpdateStream, Verdict, WavefrontStream,
+    adjudicate, round_bound, BatchHogwildStream, Certifier, ConflictVerdict, HogwildStream,
+    LibmfTableStream, SerialStream, UpdateStream, WavefrontStream,
 };
 
 pub use crate::engine::time::TimeModel;
@@ -215,7 +215,7 @@ pub struct TrainResult<E: Element> {
     /// requested: the consumed [`crate::sched::ConflictCert`], or the
     /// [`crate::sched::ConflictWitness`] that forced a downgrade to the
     /// stale-additive conflict engine. `None` for racy-by-design modes.
-    pub schedule_verdict: Option<Verdict>,
+    pub schedule_verdict: Option<ConflictVerdict>,
     /// The staleness certifier's verdict, when racy execution was the
     /// resolved default: the [`crate::stale::StaleCert`] bounding the
     /// run's per-row staleness τ and checking the lr·τ condition, or
@@ -473,7 +473,7 @@ impl RunInputs<'_> {
         mut model: EngineModel<E>,
         resume: Option<ResumeState>,
         stream: &dyn Fn() -> Box<dyn UpdateStream>,
-    ) -> (EngineModel<E>, PipelineRun, ExecMode, Verdict) {
+    ) -> (EngineModel<E>, PipelineRun, ExecMode, ConflictVerdict) {
         let (train, epochs) = (self.train, self.config.epochs);
         let live = stream();
         let name = live.name();
@@ -842,7 +842,11 @@ mod tests {
 
     /// The verdict [`crate::sched::certify`] reaches replaying a fresh
     /// `stream` over `epochs` epochs.
-    fn replayed(data: &CooMatrix, mut stream: Box<dyn UpdateStream>, epochs: u32) -> Verdict {
+    fn replayed(
+        data: &CooMatrix,
+        mut stream: Box<dyn UpdateStream>,
+        epochs: u32,
+    ) -> ConflictVerdict {
         let bound = round_bound(data, stream.workers());
         crate::sched::certify(data, stream.as_mut(), epochs, bound)
     }
@@ -943,7 +947,10 @@ mod tests {
         let rmse_bits: Vec<u64> = r.trace.points.iter().map(|p| p.rmse.to_bits()).collect();
         assert_eq!((r.p.digest(), r.q.digest()), (GOLDEN_P, GOLDEN_Q));
         assert_eq!(rmse_bits, GOLDEN_RMSE_BITS);
-        let cert = r.schedule_verdict.as_ref().and_then(Verdict::certificate);
+        let cert = r
+            .schedule_verdict
+            .as_ref()
+            .and_then(ConflictVerdict::certificate);
         assert_eq!(
             cert.map(|c| (c.rounds, c.samples, c.schedule_digest)),
             Some((37_920, 90_000, GOLDEN_SCHEDULE_DIGEST))

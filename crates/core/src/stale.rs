@@ -35,7 +35,9 @@
 //! what `resolve_exec_mode` does for conflict refutations.
 
 use crate::concurrent::ExecMode;
+use crate::digest::Fnv1a;
 use crate::lrate::{LearningRate, Schedule};
+use crate::Verdict;
 
 /// Row-access footprint of an update path: which factor rows concurrent
 /// writers can touch at the same time.
@@ -248,57 +250,10 @@ impl std::fmt::Display for StaleWitness {
     }
 }
 
-/// Outcome of certifying one update path's staleness.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StaleVerdict {
-    /// τ is finite and the lr·τ condition holds.
-    Certified(StaleCert),
-    /// τ is unbounded, or the configured schedule violates lr·τ.
-    Refuted(StaleWitness),
-}
-
-impl StaleVerdict {
-    /// True for [`StaleVerdict::Certified`].
-    pub fn is_certified(&self) -> bool {
-        matches!(self, StaleVerdict::Certified(_))
-    }
-
-    /// The certificate, if the path certified.
-    pub fn certificate(&self) -> Option<&StaleCert> {
-        match self {
-            StaleVerdict::Certified(c) => Some(c),
-            StaleVerdict::Refuted(_) => None,
-        }
-    }
-
-    /// The refutation, if the path was refuted.
-    pub fn witness(&self) -> Option<&StaleWitness> {
-        match self {
-            StaleVerdict::Certified(_) => None,
-            StaleVerdict::Refuted(w) => Some(w),
-        }
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv1a_str(mut h: u64, s: &str) -> u64 {
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// Outcome of certifying one update path's staleness: τ is finite and
+/// the lr·τ condition holds, or the path is refuted (τ unbounded, or the
+/// configured schedule violates lr·τ).
+pub type StaleVerdict = Verdict<StaleCert, StaleWitness>;
 
 /// The lr·τ safety condition value for a bounded path: `γ_max · (W−1) ·
 /// 20 / min_dim`. At γ = 1 this is exactly §7.5's `s − 1 < min(m, n) /
@@ -316,7 +271,7 @@ pub fn lr_tau_condition(writers: u32, min_dim: u32, gamma: f32) -> f64 {
 pub fn certify_staleness(spec: &PathSpec, schedule: &Schedule, epochs: u32) -> StaleVerdict {
     let g = gamma_max(schedule, epochs);
     let Some(tau) = staleness_bound(spec) else {
-        return StaleVerdict::Refuted(StaleWitness {
+        return Verdict::Refuted(StaleWitness {
             path: spec.name,
             writers: spec.writers,
             tau: None,
@@ -336,7 +291,7 @@ pub fn certify_staleness(spec: &PathSpec, schedule: &Schedule, epochs: u32) -> S
         lr_tau_condition(spec.writers, spec.min_dim, g)
     };
     if lr_tau >= 1.0 {
-        return StaleVerdict::Refuted(StaleWitness {
+        return Verdict::Refuted(StaleWitness {
             path: spec.name,
             writers: spec.writers,
             tau: Some(tau),
@@ -353,18 +308,20 @@ pub fn certify_staleness(spec: &PathSpec, schedule: &Schedule, epochs: u32) -> S
             ),
         });
     }
-    let mut h = fnv1a_str(FNV_OFFSET, spec.name);
-    h = fnv1a(h, u64::from(spec.writers));
-    h = fnv1a(h, tau);
-    h = fnv1a(h, u64::from(g.to_bits()));
-    h = fnv1a(h, u64::from(spec.min_dim));
-    StaleVerdict::Certified(StaleCert {
+    let digest = Fnv1a::new()
+        .str(spec.name)
+        .u64(u64::from(spec.writers))
+        .u64(tau)
+        .u64(u64::from(g.to_bits()))
+        .u64(u64::from(spec.min_dim))
+        .finish();
+    Verdict::Certified(StaleCert {
         path: spec.name,
         writers: spec.writers,
         tau,
         gamma_max: g,
         lr_tau,
-        digest: h,
+        digest,
     })
 }
 
@@ -385,7 +342,7 @@ pub fn resolve_stale_mode(
     }
     let verdict = certify_staleness(spec, schedule, epochs);
     let mode = match &verdict {
-        StaleVerdict::Certified(_) => {
+        Verdict::Certified(_) => {
             cumf_obs::counter(
                 "cumf_core_stale_certified_total",
                 "Racy configurations proven bounded-staleness safe before execution",
@@ -393,7 +350,7 @@ pub fn resolve_stale_mode(
             .inc();
             ExecMode::StaleAdditive
         }
-        StaleVerdict::Refuted(w) => {
+        Verdict::Refuted(w) => {
             cumf_obs::counter(
                 "cumf_core_stale_refuted_total",
                 "Racy configurations refuted by the staleness certifier and serialised",

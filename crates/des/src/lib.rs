@@ -63,5 +63,5 @@ pub use event::{EventId, EventQueue};
 pub use process::{Block, Ctx, Pid, Process};
 pub use resource::{LinkId, LockId, ResourceKind, ResourceNode, ServerId};
 pub use smallq::SmallDeque;
-pub use stats::{LinkStats, LockStats, LogHistogram, ServerStats, Tally, TimeWeighted};
+pub use stats::{LinkStats, LockStats, ServerStats, Tally, TimeWeighted};
 pub use time::SimTime;

@@ -7,7 +7,7 @@
 //! [`LatencyHistogram::digest`] is a bit-exact fingerprint of the whole
 //! latency distribution: two runs agree iff every observation agreed.
 
-use cumf_core::faults::fnv1a64;
+use cumf_core::digest::fnv1a64;
 
 /// Exponent of the smallest finite bucket bound (`2^-30` s ≈ 1 ns).
 const MIN_EXP: i32 = -30;

@@ -33,7 +33,8 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use cumf_core::faults::{fnv1a64, RecoveryKind, RecoveryLog, RetryPolicy};
+use cumf_core::digest::fnv1a64;
+use cumf_core::faults::{RecoveryKind, RecoveryLog, RetryPolicy};
 use cumf_core::Element;
 use cumf_data::synth::{zipf_weights, AliasTable};
 use cumf_des::{EventQueue, SimTime};

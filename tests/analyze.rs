@@ -13,10 +13,10 @@ use cumf_rng::{ChaCha8Rng, Rng, SeedableRng};
 use cumf_sgd::analyze::prover::{certify_libmf, certify_wavefront, random_dataset};
 use cumf_sgd::core::sched::{
     certify, drain_epoch, BatchHogwildStream, HogwildStream, LibmfTableStream, SerialStream,
-    UpdateStream, Verdict, WavefrontStream,
+    UpdateStream, WavefrontStream,
 };
 use cumf_sgd::core::solver::{train, Scheme, SolverConfig};
-use cumf_sgd::core::ExecMode;
+use cumf_sgd::core::{ExecMode, Verdict};
 use cumf_sgd::data::CooMatrix;
 
 /// Random dataset shapes that satisfy every scheme's preconditions
@@ -319,13 +319,13 @@ fn full_campaign_with_static_passes() {
 /// descending twin is refuted with a replayable lock-order cycle.
 #[test]
 fn deadlock_certifier_proves_shipped_order_and_refutes_twins() {
-    use cumf_sgd::analyze::deadlock::{analyze_protocol, protocols, ProtocolOutcome};
+    use cumf_sgd::analyze::deadlock::{analyze_protocol, protocols, ProtocolWitness};
 
     let shipped = protocols::shipped_protocols();
     assert!(shipped.len() >= 6, "expected ≥6 shipped protocols");
     for p in &shipped {
         match analyze_protocol(p) {
-            ProtocolOutcome::Certified { order, live } => {
+            Verdict::Certified((order, live)) => {
                 assert_ne!(order.digest, 0, "{}", p.name);
                 assert!(live.chain_s > 0.0, "{}", p.name);
                 if p.watchdog.is_some() {
@@ -343,8 +343,8 @@ fn deadlock_certifier_proves_shipped_order_and_refutes_twins() {
     let mut starvations = 0;
     for p in &twins {
         match analyze_protocol(p) {
-            ProtocolOutcome::Certified { .. } => panic!("twin {} certified", p.name),
-            ProtocolOutcome::Deadlocked(w) => {
+            Verdict::Certified(_) => panic!("twin {} certified", p.name),
+            Verdict::Refuted(ProtocolWitness::Deadlock(w)) => {
                 cycles += 1;
                 assert!(w.replays, "{}: {w}", p.name);
                 assert_eq!(
@@ -353,7 +353,7 @@ fn deadlock_certifier_proves_shipped_order_and_refutes_twins() {
                     "minimal schedule: one step per cycle thread"
                 );
             }
-            ProtocolOutcome::Starved { witness, .. } => {
+            Verdict::Refuted(ProtocolWitness::Starvation(witness)) => {
                 starvations += 1;
                 assert!(witness.timeout_s < witness.grant_by_s, "{witness}");
             }
@@ -368,7 +368,7 @@ fn deadlock_certifier_proves_shipped_order_and_refutes_twins() {
         .find(|p| p.name == "twin/two-row-descending")
         .expect("descending two-row twin must be seeded");
     match analyze_protocol(desc) {
-        ProtocolOutcome::Deadlocked(w) => {
+        Verdict::Refuted(ProtocolWitness::Deadlock(w)) => {
             assert!(w.cycle.contains(&"stripe.lo".to_string()), "{w}");
             assert!(w.cycle.contains(&"stripe.hi".to_string()), "{w}");
         }
@@ -409,4 +409,130 @@ fn lint_scans_every_source_file_of_the_scanned_crates() {
         report.files_scanned, expected,
         "lint file census drifted from the source tree"
     );
+}
+
+/// Every `digest xxxxxxxxxxxxxxxx` a section prints, in order.
+fn printed_digests(section: &cumf_sgd::analyze::SectionResult) -> Vec<String> {
+    let mut out = Vec::new();
+    for line in &section.lines {
+        let mut rest = line.as_str();
+        while let Some(at) = rest.find("digest ") {
+            rest = &rest[at + "digest ".len()..];
+            out.push(rest.chars().take(16).collect());
+        }
+    }
+    out
+}
+
+/// `fnv1a64` of the little-endian bytes of each `u64`, captured from the
+/// byte-wise reference implementation: small values (high zero bytes),
+/// byte and word boundaries, and the extremes.
+const U64_VECTORS: [(u64, u64); 10] = [
+    (0, 0xa8c7_f832_281a_39c5),
+    (1, 0x89cd_3129_1d2a_efa4),
+    (255, 0x9016_b196_e349_a31a),
+    (256, 0xe375_7ca7_d646_66ea),
+    (65_535, 0x8a5d_9580_133f_770b),
+    (1 << 24, 0x9c19_1507_aaca_cf62),
+    (u32::MAX as u64, 0x4eba_ad86_4bc6_f2e1),
+    (1 << 56, 0xa8c7_f732_281a_3812),
+    (0x0123_4567_89ab_cdef, 0x37eb_3f33_4776_1c55),
+    (u64::MAX, 0x8cf5_1a8b_fca3_883d),
+];
+
+/// Every certificate digest `cumf analyze --all` prints (the four prover
+/// schedules, the seven deadlock and seven liveness certificates, the
+/// five staleness certificates), the solver's cost certificate and the
+/// byte-level digest itself, pinned to constants: a refactor of the
+/// digest or verdict plumbing must reproduce each one bit for bit.
+#[test]
+fn certificate_digests_are_pinned() {
+    use cumf_sgd::analyze::{deadlock_section, prover_section, staleness_section};
+    use cumf_sgd::core::faults::fnv1a64;
+    use cumf_sgd::core::{CostCert, F16};
+    use cumf_sgd::gpu_sim::RatingAccess;
+
+    assert_eq!(
+        printed_digests(&prover_section(42)),
+        [
+            "99a67c910ad7b8b0",
+            "d742f07d3729caa4",
+            "db2a43a699c0690d",
+            "3f2ec36ee4328ed1",
+        ]
+    );
+    // Order certificate, then liveness certificate, per shipped protocol.
+    assert_eq!(
+        printed_digests(&deadlock_section()),
+        [
+            "c14d035e7f37bd34",
+            "d459cd1ab995aea7",
+            "83bcaa191d3f8bbb",
+            "e71a030c585d66bc",
+            "f93daeaf1719cad4",
+            "4d28d1dfcbf680a3",
+            "62235670834b1e52",
+            "a61ee0dd8093d983",
+            "8878f000c9b2f3da",
+            "1b43d7d9baecf71e",
+            "1ec7bf3dcefc1eb7",
+            "1da9062d1c5b8339",
+            "b16497bec916f474",
+            "90c8d42ddb04590d",
+        ]
+    );
+    assert_eq!(
+        printed_digests(&staleness_section()),
+        [
+            "5fd8c7851e6407ca",
+            "dd63d8f1a35b9b0d",
+            "485f06c3736783d0",
+            "3c8008eb3d1e234e",
+            "67774d523b780d1f",
+        ]
+    );
+    assert_eq!(
+        CostCert::certify::<f32>(64, RatingAccess::Streamed, None).digest,
+        0x533b_2e0c_b2be_c278
+    );
+    assert_eq!(
+        CostCert::certify::<F16>(64, RatingAccess::Streamed, None).digest,
+        0xd3b2_5112_7b93_6c58
+    );
+
+    // Standard FNV-1a 64-bit test vectors, then the u64 steps.
+    assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    let got: Vec<(u64, u64)> = U64_VECTORS
+        .iter()
+        .map(|&(v, _)| (v, fnv1a64(&v.to_le_bytes())))
+        .collect();
+    assert_eq!(got, U64_VECTORS);
+}
+
+/// The streaming digest's steps reproduce the byte-level reference: each
+/// `u64` step (whose high zero bytes fold into one multiply) matches the
+/// pinned vectors, and `str`/`bytes` steps chain like concatenation — the
+/// `solver-hogwild` chain is the staleness certificate's own digest.
+#[test]
+fn streaming_fnv1a_matches_reference_vectors() {
+    use cumf_sgd::core::digest::{fnv1a64, Fnv1a};
+
+    for (v, digest) in U64_VECTORS {
+        assert_eq!(Fnv1a::new().u64(v).finish(), digest, "{v:#x}");
+    }
+    assert_eq!(Fnv1a::new().finish(), fnv1a64(b""));
+    assert_eq!(
+        Fnv1a::new().bytes(b"foo").str("bar").finish(),
+        0x8594_4171_f739_67e8
+    );
+    let stale = Fnv1a::new()
+        .str("solver-hogwild")
+        .u64(3)
+        .u64(2)
+        .u64(u64::from(0.08f32.to_bits()))
+        .u64(1000)
+        .finish();
+    assert_eq!(stale, 0x5fd8_c785_1e64_07ca);
 }
