@@ -1,17 +1,15 @@
 //! Static deadlock & liveness certifier for every blocking protocol the
 //! workspace ships.
 //!
-//! The engine layers hold locks in three places: the striped factor
-//! matrices in `cumf-core` (`striped_locked_epoch` and the two-row
-//! update path), the `TrainSupervisor` watchdog around faulted PCIe
-//! transfers, and the DES resource configurations (`ServerId`/`LinkId`/
-//! `LockId` with their `SmallDeque` waiter lists) that the GPU machine
-//! model and the bench pipeline instantiate. Each of those protocols is
-//! modelled here *statically* — no instrumentation, no execution of the
-//! real code — as a tiny acquisition-order IR ([`ClassSpec`] lock
-//! classes + [`SiteSpec`] held→acquires sites), mirroring how
-//! [`crate::models`] encodes the stripe protocols for the interleaving
-//! checker.
+//! The training executors in `cumf-core` are lock-free, so the
+//! workspace blocks in three places: the `TrainSupervisor` watchdog
+//! around faulted PCIe transfers, the serving read path's shard slots,
+//! and the DES resource configurations (`ServerId`/`LinkId`/`LockId`
+//! with their `SmallDeque` waiter lists) that the GPU machine model and
+//! the bench pipeline instantiate. Each of those protocols is modelled
+//! here *statically* — no instrumentation, no execution of the real
+//! code — as a tiny acquisition-order IR ([`ClassSpec`] lock classes +
+//! [`SiteSpec`] held→acquires sites).
 //!
 //! Two passes run over every protocol:
 //!
@@ -32,11 +30,11 @@
 //!
 //! The honest protocols ([`protocols::shipped_protocols`]) must all
 //! certify; the refutation campaign ([`protocols::broken_twins`]) seeds
-//! ABBA stripe acquisition, a cyclic server→link→server DES
-//! configuration, a descending two-row twin, and a watchdog shorter than
-//! its certified wait chain — each must be refuted with a concrete
-//! witness, because an analyzer that cannot refute the twins proves
-//! nothing about the protocols.
+//! a pure-model ABBA stripe acquisition, a cyclic server→link→server DES
+//! configuration, and a watchdog and a serve deadline shorter than their
+//! certified wait chains — each must be refuted with a concrete witness,
+//! because an analyzer that cannot refute the twins proves nothing about
+//! the protocols.
 
 pub mod graph;
 pub mod liveness;
@@ -111,7 +109,7 @@ pub struct RetrySpec {
 /// A complete static model of one blocking protocol.
 #[derive(Debug, Clone)]
 pub struct Protocol {
-    /// Protocol name (`striped-epoch`, `des/wavefront`, `twin/...`).
+    /// Protocol name (`des/wavefront`, `serve-request`, `twin/...`).
     pub name: &'static str,
     /// Lock classes, indexed by [`SiteSpec::held`]/[`SiteSpec::acquires`].
     pub classes: Vec<ClassSpec>,

@@ -1,97 +1,18 @@
 //! Static models of every shipped blocking protocol, plus the broken
 //! twins the refutation campaign must reject.
 //!
-//! The models are anchored in the real code two ways. The stripe
-//! protocols are built from `cumf_core::concurrent::LOCK_SITES` — the
-//! annotation table maintained *next to* the lock acquisitions it
-//! describes, so a new acquisition path without an annotation is a
-//! visible review smell. The DES protocols build the actual shipped
-//! `Simulation` configurations and read the resource inventory back
-//! through `Simulation::resource_topology()`; a model naming a resource
-//! the simulation no longer registers panics instead of silently
-//! certifying a stale topology.
+//! The DES protocols are anchored in the real code: they build the
+//! actual shipped `Simulation` configurations and read the resource
+//! inventory back through `Simulation::resource_topology()`; a model
+//! naming a resource the simulation no longer registers panics instead
+//! of silently certifying a stale topology. The supervisor and serve
+//! protocols take their numbers from the shipped configurations'
+//! liveness annotations.
 
 use super::{ClassSpec, Protocol, RetrySpec, SiteSpec, WatchdogSpec};
 use cumf_core::faults::SupervisorConfig;
 use cumf_des::{ResourceKind, ResourceNode, Simulation};
 use cumf_serve::ServeConfig;
-
-/// Certified stripe critical-section time: the epoch loop holds a
-/// stripe for one k≤128 row update (a few hundred FLOPs), comfortably
-/// under a microsecond on any target.
-const STRIPE_HOLD_S: f64 = 1e-6;
-
-/// Worst-case simultaneous waiters on one stripe: every other thread of
-/// the widest shipped executor configuration (32 threads).
-const STRIPE_WAITERS: usize = 31;
-
-fn class_index(
-    classes: &mut Vec<ClassSpec>,
-    name: &str,
-    anchor: &str,
-    slots: usize,
-    hold_s: f64,
-    max_waiters: usize,
-) -> usize {
-    if let Some(i) = classes.iter().position(|c| c.name == name) {
-        return i;
-    }
-    classes.push(ClassSpec {
-        name: name.to_string(),
-        anchor: anchor.to_string(),
-        slots,
-        hold_s,
-        max_waiters,
-    });
-    classes.len() - 1
-}
-
-/// Builds a protocol from the in-source annotation table in
-/// `cumf_core::concurrent` (all stripe classes: 1 slot, stripe hold).
-fn from_core_sites(name: &'static str) -> Protocol {
-    let mut classes = Vec::new();
-    let mut sites = Vec::new();
-    for anno in cumf_core::concurrent::LOCK_SITES
-        .iter()
-        .filter(|s| s.protocol == name)
-    {
-        let acquires = class_index(
-            &mut classes,
-            anno.acquires,
-            anno.anchor,
-            1,
-            STRIPE_HOLD_S,
-            STRIPE_WAITERS,
-        );
-        let held = anno.held.map(|h| {
-            class_index(
-                &mut classes,
-                h,
-                anno.anchor,
-                1,
-                STRIPE_HOLD_S,
-                STRIPE_WAITERS,
-            )
-        });
-        sites.push(SiteSpec {
-            held,
-            acquires,
-            anchor: anno.anchor.to_string(),
-            note: anno.note.to_string(),
-        });
-    }
-    assert!(
-        !sites.is_empty(),
-        "no annotated sites for {name} in cumf_core::concurrent::LOCK_SITES"
-    );
-    Protocol {
-        name,
-        classes,
-        sites,
-        watchdog: None,
-        retry: None,
-    }
-}
 
 fn kind_prefix(kind: ResourceKind) -> &'static str {
     match kind {
@@ -332,8 +253,6 @@ fn serve_request(deadline_override: Option<f64>) -> Protocol {
 /// Every blocking protocol the workspace ships; all must certify.
 pub fn shipped_protocols() -> Vec<Protocol> {
     vec![
-        from_core_sites("striped-epoch"),
-        from_core_sites("two-row-update"),
         des_global_table(),
         des_wavefront(),
         des_bench_pipeline(),
@@ -347,44 +266,49 @@ pub fn shipped_protocols() -> Vec<Protocol> {
 pub fn broken_twins() -> Vec<Protocol> {
     let mut twins = Vec::new();
 
-    // (1) ABBA stripe acquisition: one epoch family acquires Q before
-    // P. The honest protocol's canonical P-then-Q order is seeded with
-    // its mirror image — the classic 2-cycle.
-    let mut abba = from_core_sites("striped-epoch");
-    abba.name = "twin/striped-abba";
+    // (1) ABBA stripe acquisition, as a pure model: one family takes
+    // P.stripe then Q.stripe, its mirror image takes Q.stripe then
+    // P.stripe — the classic 2-cycle.
+    let stripe = |name: &str| ClassSpec {
+        name: name.to_string(),
+        anchor: "twin::striped_abba".to_string(),
+        slots: 1,
+        hold_s: 1e-6,
+        max_waiters: 1,
+    };
     let (p, q) = (0, 1);
-    abba.sites.push(entry(
-        q,
-        "twin::reversed_epoch",
-        "seeded: reversed family enters on Q.stripe",
-    ));
-    abba.sites.push(SiteSpec {
-        held: Some(q),
-        acquires: p,
-        anchor: "twin::reversed_epoch".to_string(),
-        note: "seeded: acquires P.stripe while holding Q.stripe".to_string(),
+    twins.push(Protocol {
+        name: "twin/striped-abba",
+        classes: vec![stripe("P.stripe"), stripe("Q.stripe")],
+        sites: vec![
+            entry(
+                p,
+                "twin::canonical_epoch",
+                "canonical family enters on P.stripe",
+            ),
+            SiteSpec {
+                held: Some(p),
+                acquires: q,
+                anchor: "twin::canonical_epoch".to_string(),
+                note: "canonical family acquires Q.stripe while holding P.stripe".to_string(),
+            },
+            entry(
+                q,
+                "twin::reversed_epoch",
+                "seeded: reversed family enters on Q.stripe",
+            ),
+            SiteSpec {
+                held: Some(q),
+                acquires: p,
+                anchor: "twin::reversed_epoch".to_string(),
+                note: "seeded: acquires P.stripe while holding Q.stripe".to_string(),
+            },
+        ],
+        watchdog: None,
+        retry: None,
     });
-    twins.push(abba);
 
-    // (2) Descending two-row update: the ordered_stripes() sort is
-    // dropped, so one caller locks (hi, lo) against the honest (lo, hi).
-    let mut desc = from_core_sites("two-row-update");
-    desc.name = "twin/two-row-descending";
-    let (lo, hi) = (0, 1);
-    desc.sites.push(entry(
-        hi,
-        "twin::descending_update",
-        "seeded: update path without ordered_stripes(), entering on the higher stripe",
-    ));
-    desc.sites.push(SiteSpec {
-        held: Some(hi),
-        acquires: lo,
-        anchor: "twin::descending_update".to_string(),
-        note: "seeded: acquires stripe.lo while holding stripe.hi".to_string(),
-    });
-    twins.push(desc);
-
-    // (3) Cyclic DES pipeline: a staging config where each process
+    // (2) Cyclic DES pipeline: a staging config where each process
     // holds its stage (misusing the PS transfer slot as a held
     // resource) while requesting the next — server → link → server →
     // back, a 3-cycle.
@@ -448,12 +372,12 @@ pub fn broken_twins() -> Vec<Protocol> {
         retry: None,
     });
 
-    // (4) Watchdog shorter than the certified wait chain: the 1 ms
+    // (3) Watchdog shorter than the certified wait chain: the 1 ms
     // timeout fires before the ~4.2 ms bound of a 4-way shared 1 MiB
     // transfer.
     twins.push(supervisor_transfer(Some(1e-3)));
 
-    // (5) Serve deadline shorter than the certified shard wait chain: a
+    // (4) Serve deadline shorter than the certified shard wait chain: a
     // 2 ms deadline fires before the 5 ms worst-case queue+service
     // bound, so healthy contention alone would finalize requests
     // degraded. The certifier must starve this twin.
@@ -469,21 +393,9 @@ mod tests {
     use cumf_core::Verdict;
 
     #[test]
-    fn ships_seven_protocols_and_five_twins() {
-        assert_eq!(shipped_protocols().len(), 7);
-        assert_eq!(broken_twins().len(), 5);
-    }
-
-    #[test]
-    fn stripe_protocols_come_from_the_in_source_annotations() {
-        let p = from_core_sites("striped-epoch");
-        assert_eq!(p.classes.len(), 2);
-        assert!(p.sites.iter().all(|s| s.anchor.contains("concurrent.rs")));
-        let p = from_core_sites("two-row-update");
-        assert!(p
-            .classes
-            .iter()
-            .any(|c| c.name == "stripe.lo" || c.name == "stripe.hi"));
+    fn ships_five_protocols_and_four_twins() {
+        assert_eq!(shipped_protocols().len(), 5);
+        assert_eq!(broken_twins().len(), 4);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   deterministic crates (and `cumf-bench`, minus its reviewed
 //!   wall-clock reads), with stale-allowlist detection.
 //! * [`deadlock`] — a static deadlock & liveness certifier: every
-//!   shipped blocking protocol (stripe locking in `cumf-core`, the
-//!   supervisor watchdog, the DES resource configurations) is modelled
+//!   shipped blocking protocol (the supervisor watchdog, the serving
+//!   read path, the DES resource configurations) is modelled
 //!   in a small acquisition-order IR; a lock-order graph pass proves
 //!   acyclicity (topological certificate, cross-validated by the
 //!   interleaving checker) or emits a replayable cycle witness, and a
@@ -28,14 +28,14 @@
 //!
 //! * [`stale`] — a static staleness & asynchrony certifier: every
 //!   lock-free update path (`solver-hogwild`, the threaded
-//!   batch-Hogwild executor, the striped-epoch and two-row lock paths,
-//!   the partitioned multi-GPU grid) is lifted from the
-//!   `cumf_core::concurrent::UPDATE_PATHS` in-source annotations into
-//!   an asynchrony IR; the worst-case per-row staleness bound τ is
+//!   batch-Hogwild executor, the partitioned multi-GPU grid) is lifted
+//!   from the `cumf_core::concurrent::UPDATE_PATHS` in-source
+//!   annotations into an asynchrony IR; the worst-case per-row staleness bound τ is
 //!   derived, exhaustively validated over all interleavings with the
 //!   model checker, and the lr·τ safety condition certified — with
-//!   three broken twins (deleted stripe locks, removed epoch barrier,
-//!   overlapping grid blocks) each refuted by a replayable witness.
+//!   three broken twins (unsynchronised shared rows, removed epoch
+//!   barrier, overlapping grid blocks) each refuted by a replayable
+//!   witness.
 //! * [`prover`] — drives the schedule **conflict prover**
 //!   (`cumf_core::sched::conflict`) over randomized datasets: the
 //!   paper's conflict-free-by-construction schedules (wavefront-update
@@ -43,15 +43,14 @@
 //!   must be refuted with a concrete collision witness on a 1×1 matrix.
 //! * [`mc`] + [`models`] — a loom-style **interleaving model checker**:
 //!   exhaustive DFS over all thread interleavings of small transition
-//!   systems modelling the canonical P-then-Q stripe-lock order,
-//!   torn-row protection under `StripedFactors`, `AtomicFactors`'
-//!   whole-word cells, and the batch-Hogwild! work-claiming counter —
-//!   each paired with a deliberately broken twin the checker must refute.
+//!   systems modelling `AtomicFactors`' whole-word cells and the
+//!   batch-Hogwild! work-claiming counter — each paired with a
+//!   deliberately broken twin the checker must refute.
 //! * `sanitizer` (compiled with the `sanitize` feature) — drivers for
 //!   the Eraser-style **dynamic lockset
 //!   sanitizer** (the feature forwards to
-//!   `cumf-core/sanitize`): the lock-striped executor must produce zero
-//!   reports, the lock-free Hogwild! executor must produce at least one.
+//!   `cumf-core/sanitize`): the lock-free Hogwild! executor must
+//!   produce at least one report.
 //!
 //! [`run_all`] runs every analyzer and aggregates pass/fail per section;
 //! the `cumf analyze` CLI subcommand and the CI gate are thin wrappers
@@ -74,7 +73,7 @@ pub use deadlock::{
     DeadlockCert, DeadlockWitness, LivenessCert, ProtocolWitness, StarvationWitness,
 };
 pub use mc::{check, CheckOutcome, Model, Violation, ViolationKind};
-pub use models::{CellModel, LockOrderModel, RowModel, WorkClaimModel};
+pub use models::{CellModel, WorkClaimModel};
 pub use prover::ProverCase;
 pub use stale::{ShippedPath, StaleModel, StalenessWitness};
 
@@ -162,28 +161,6 @@ pub fn model_check_section() -> SectionResult {
         lines.push(format!("[{status}] {out} — expected {expectation}"));
         pass &= ok;
     };
-
-    let out = check(&LockOrderModel::canonical(), MC_STATE_BUDGET);
-    record(out.clone(), out.verified(), "deadlock-free");
-    let out = check(&LockOrderModel::reversed(), MC_STATE_BUDGET);
-    record(
-        out.clone(),
-        matches!(&out.violation, Some(v) if v.kind == ViolationKind::Deadlock),
-        "ABBA deadlock counterexample",
-    );
-
-    let out = check(&RowModel::locked(), MC_STATE_BUDGET);
-    record(
-        out.clone(),
-        out.verified() && !out.probe_reached,
-        "no torn row reachable",
-    );
-    let out = check(&RowModel::unlocked(), MC_STATE_BUDGET);
-    record(
-        out.clone(),
-        out.probe_reached,
-        "torn row reachable without the lock",
-    );
 
     let out = check(&CellModel::atomic(), MC_STATE_BUDGET);
     record(

@@ -18,12 +18,14 @@
 //!   "the reader observed a torn row"), and the outcome records whether
 //!   any reachable state satisfied it.
 //!
-//! This is the executable form of the two `unsafe impl Send/Sync` SAFETY
-//! comments in `cumf_core::concurrent`: instead of prose asserting the
-//! canonical lock order cannot deadlock and stripe locks prevent torn
-//! rows, [`crate::models`] encodes those protocols and the checker proves
-//! the claims over *all* interleavings (or exhibits a counterexample — see
-//! the deliberately-broken model variants in the tests).
+//! Instead of prose asserting that `AtomicFactors` cells never tear and
+//! that the work-claiming counter is exact, [`crate::models`] encodes
+//! those protocols and the checker proves the claims over *all*
+//! interleavings (or exhibits a counterexample — see the
+//! deliberately-broken model variants in the tests). The deadlock
+//! certifier cross-validates its lock-order graphs here too
+//! ([`crate::deadlock::LockSeqModel`]), and the staleness certifier
+//! validates every claimed τ.
 //!
 //! No external dependencies: DFS, a `HashSet` of visited states, and a
 //! schedule trail. Small models (a handful of threads, a few shared

@@ -9,291 +9,16 @@
 //!
 //! | model | real-code anchor | claim |
 //! |---|---|---|
-//! | [`LockOrderModel`] | threaded executor's canonical P-then-Q stripe order | deadlock-free |
-//! | [`RowModel`] | `StripedFactors::with_row_locked` | no torn k-cell row reads |
 //! | [`CellModel`] | `AtomicFactors` f32-in-`AtomicU32` cells | no torn single-cell reads |
 //! | [`WorkClaimModel`] | batch-Hogwild! `fetch_add` work claiming | claims exact: disjoint + complete |
 
 use crate::mc::Model;
 
 // ---------------------------------------------------------------------------
-// Lock ordering
-// ---------------------------------------------------------------------------
-
-/// Two threads each acquire a P-factor stripe lock and a Q-factor stripe
-/// lock around one SGD update, then release both. In the canonical
-/// variant both threads honour the P-then-Q order used by the threaded
-/// executor; in the reversed variant thread 1 acquires Q first —
-/// the classic ABBA deadlock the canonical order exists to rule out.
-pub struct LockOrderModel {
-    canonical: bool,
-}
-
-impl LockOrderModel {
-    /// The protocol as implemented: every thread locks P before Q.
-    pub fn canonical() -> Self {
-        LockOrderModel { canonical: true }
-    }
-
-    /// The broken twin: thread 1 locks Q before P.
-    pub fn reversed() -> Self {
-        LockOrderModel { canonical: false }
-    }
-
-    /// Lock acquisition order for `tid`: `[first, second]` where 0 is the
-    /// shared P stripe and 1 is the shared Q stripe.
-    fn order(&self, tid: usize) -> [usize; 2] {
-        if tid == 1 && !self.canonical {
-            [1, 0]
-        } else {
-            [0, 1]
-        }
-    }
-}
-
-/// Global state of [`LockOrderModel`]: who owns each stripe lock
-/// (`None` = free) and each thread's program counter.
-///
-/// Thread program: 0 = acquire first lock, 1 = acquire second,
-/// 2 = release second, 3 = release first, 4 = done. (The SGD update
-/// itself touches no other shared state, so it needs no step.)
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct LockOrderState {
-    owner: [Option<u8>; 2],
-    pc: [u8; 2],
-}
-
-impl Model for LockOrderModel {
-    type State = LockOrderState;
-
-    fn name(&self) -> &'static str {
-        if self.canonical {
-            "striped-lock-order/canonical"
-        } else {
-            "striped-lock-order/reversed"
-        }
-    }
-
-    fn threads(&self) -> usize {
-        2
-    }
-
-    fn initial(&self) -> LockOrderState {
-        LockOrderState {
-            owner: [None, None],
-            pc: [0, 0],
-        }
-    }
-
-    fn enabled(&self, s: &LockOrderState, t: usize) -> bool {
-        let order = self.order(t);
-        match s.pc[t] {
-            0 => s.owner[order[0]].is_none(),
-            1 => s.owner[order[1]].is_none(),
-            2 | 3 => true,
-            _ => false,
-        }
-    }
-
-    fn step(&self, s: &LockOrderState, t: usize) -> LockOrderState {
-        let mut n = s.clone();
-        let order = self.order(t);
-        match s.pc[t] {
-            0 => n.owner[order[0]] = Some(t as u8),
-            1 => n.owner[order[1]] = Some(t as u8),
-            2 => n.owner[order[1]] = None,
-            3 => n.owner[order[0]] = None,
-            _ => unreachable!("step on done thread"),
-        }
-        n.pc[t] += 1;
-        n
-    }
-
-    fn done(&self, s: &LockOrderState, t: usize) -> bool {
-        s.pc[t] == 4
-    }
-
-    fn invariant(&self, s: &LockOrderState) -> Result<(), String> {
-        // Mutual exclusion is structural here; check it anyway so the
-        // model itself is validated, not just deadlock-freedom.
-        for (lock, owner) in s.owner.iter().enumerate() {
-            if let Some(o) = owner {
-                let order = self.order(*o as usize);
-                let holds = match s.pc[*o as usize] {
-                    1 | 3 => order[0] == lock,
-                    2 => order[0] == lock || order[1] == lock,
-                    _ => false,
-                };
-                if !holds {
-                    return Err(format!("lock {lock} owned by thread {o} not holding it"));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Torn row reads under the stripe lock
-// ---------------------------------------------------------------------------
-
-/// A writer updates every cell of a k=2 factor row (0 → 1, one cell per
-/// step) while a reader loads the row cell by cell. In the locked
-/// variant both critical sections run under the row's stripe lock, as
-/// `StripedFactors::with_row_locked` does; the unlocked twin models
-/// accessing the row without the stripe guard.
-///
-/// Claim (locked): the reader only ever observes `[0, 0]` or `[1, 1]` —
-/// never a torn row. The unlocked twin must *reach* a torn read
-/// (verified via [`Model::probe`]), demonstrating the lock is load-bearing.
-pub struct RowModel {
-    locked: bool,
-}
-
-impl RowModel {
-    /// Row access under the stripe lock (the real protocol).
-    pub fn locked() -> Self {
-        RowModel { locked: true }
-    }
-
-    /// Row access with the guard removed.
-    pub fn unlocked() -> Self {
-        RowModel { locked: false }
-    }
-}
-
-/// State of [`RowModel`]: the two row cells, the stripe lock owner, each
-/// thread's program counter, and the reader's registers.
-///
-/// Locked programs — writer: acquire, write cell 0, write cell 1,
-/// release (pc 0..4); reader: acquire, read cell 0, read cell 1, release.
-/// Unlocked programs skip the acquire/release steps (pc 0..2).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct RowState {
-    cells: [u8; 2],
-    owner: Option<u8>,
-    pc: [u8; 2],
-    regs: [u8; 2],
-}
-
-const WRITER: usize = 0;
-const READER: usize = 1;
-
-impl RowModel {
-    fn steps(&self) -> u8 {
-        if self.locked {
-            4
-        } else {
-            2
-        }
-    }
-
-    /// Maps pc to the memory op index: with locking, pc 1 and 2 are the
-    /// cell accesses; without, pc 0 and 1 are.
-    fn cell_index(&self, pc: u8) -> Option<usize> {
-        if self.locked {
-            match pc {
-                1 => Some(0),
-                2 => Some(1),
-                _ => None,
-            }
-        } else {
-            match pc {
-                0 => Some(0),
-                1 => Some(1),
-                _ => None,
-            }
-        }
-    }
-
-    fn reader_finished(&self, s: &RowState) -> bool {
-        // The reader has both registers populated once past its last read.
-        s.pc[READER] >= if self.locked { 3 } else { 2 }
-    }
-}
-
-impl Model for RowModel {
-    type State = RowState;
-
-    fn name(&self) -> &'static str {
-        if self.locked {
-            "stripe-torn-row/locked"
-        } else {
-            "stripe-torn-row/unlocked"
-        }
-    }
-
-    fn threads(&self) -> usize {
-        2
-    }
-
-    fn initial(&self) -> RowState {
-        RowState {
-            cells: [0, 0],
-            owner: None,
-            pc: [0, 0],
-            regs: [0, 0],
-        }
-    }
-
-    fn enabled(&self, s: &RowState, t: usize) -> bool {
-        if s.pc[t] >= self.steps() {
-            return false;
-        }
-        if self.locked && s.pc[t] == 0 {
-            return s.owner.is_none();
-        }
-        true
-    }
-
-    fn step(&self, s: &RowState, t: usize) -> RowState {
-        let mut n = s.clone();
-        if self.locked {
-            match s.pc[t] {
-                0 => n.owner = Some(t as u8),
-                3 => n.owner = None,
-                pc => {
-                    let c = self.cell_index(pc).unwrap();
-                    if t == WRITER {
-                        n.cells[c] = 1;
-                    } else {
-                        n.regs[c] = s.cells[c];
-                    }
-                }
-            }
-        } else {
-            let c = self.cell_index(s.pc[t]).unwrap();
-            if t == WRITER {
-                n.cells[c] = 1;
-            } else {
-                n.regs[c] = s.cells[c];
-            }
-        }
-        n.pc[t] += 1;
-        n
-    }
-
-    fn done(&self, s: &RowState, t: usize) -> bool {
-        s.pc[t] == self.steps()
-    }
-
-    fn invariant(&self, s: &RowState) -> Result<(), String> {
-        // Only the locked protocol promises untorn rows.
-        if self.locked && self.reader_finished(s) && s.regs[0] != s.regs[1] {
-            return Err(format!("torn row read: regs {:?}", s.regs));
-        }
-        Ok(())
-    }
-
-    fn probe(&self, s: &RowState) -> bool {
-        // Interesting state for the unlocked twin: a completed torn read.
-        self.reader_finished(s) && s.regs[0] != s.regs[1]
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Torn single-cell reads: AtomicU32 vs two half-word stores
 // ---------------------------------------------------------------------------
+
+const WRITER: usize = 0;
 
 /// A writer replaces one f32 factor cell (both bytes-halves 0 → 1) while
 /// a reader loads it. The atomic variant models `AtomicFactors`' whole-word
@@ -569,41 +294,6 @@ mod tests {
     use crate::mc::{check, ViolationKind};
 
     const BUDGET: usize = 1_000_000;
-
-    #[test]
-    fn canonical_lock_order_is_deadlock_free() {
-        let out = check(&LockOrderModel::canonical(), BUDGET);
-        assert!(out.verified(), "{out}");
-        assert!(out.states > 4, "must actually interleave: {}", out.states);
-    }
-
-    #[test]
-    fn reversed_lock_order_deadlocks_with_schedule() {
-        let out = check(&LockOrderModel::reversed(), BUDGET);
-        let v = out.violation.expect("ABBA order must deadlock");
-        assert_eq!(v.kind, ViolationKind::Deadlock);
-        assert!(!v.schedule.is_empty());
-    }
-
-    #[test]
-    fn stripe_lock_prevents_torn_rows() {
-        let out = check(&RowModel::locked(), BUDGET);
-        assert!(out.verified(), "{out}");
-        assert!(!out.probe_reached, "no torn read may be reachable");
-    }
-
-    #[test]
-    fn unlocked_rows_tear() {
-        let out = check(&RowModel::unlocked(), BUDGET);
-        assert!(
-            out.violation.is_none(),
-            "no invariant claimed when unlocked"
-        );
-        assert!(
-            out.probe_reached,
-            "torn read must be reachable without the lock"
-        );
-    }
 
     #[test]
     fn atomic_cell_never_tears() {

@@ -11,8 +11,8 @@
 //!
 //! * [`shipped_paths`] instantiates every entry of
 //!   [`cumf_core::concurrent::UPDATE_PATHS`] — the in-source
-//!   annotations next to the executors, the staleness analogue of
-//!   `LOCK_SITES` — as a concrete `PathSpec` plus a small interleaving
+//!   annotations next to the executors — as a concrete `PathSpec` plus
+//!   a small interleaving
 //!   model ([`models::StaleModel`]), panicking on drift (a path with no
 //!   model, an unrecognised footprint/sync shape, or a claimed τ the IR
 //!   does not reproduce). The partitioned path is additionally
@@ -24,7 +24,7 @@
 //!   "observed staleness ≤ τ" over *all* interleavings), and emits the
 //!   lr·τ certificate for a reference schedule.
 //! * [`broken_twins`] seeds three deliberately-broken variants —
-//!   unsynchronised column writers on a shared stripe, the
+//!   unsynchronised writers on a shared row, the
 //!   `thread_batch` path with its epoch barrier removed, and a
 //!   partitioned grid whose blocks overlap — and [`check_model`]
 //!   must refute each with a [`StalenessWitness`] whose schedule replays
@@ -85,7 +85,6 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
                 updates_per_epoch: 2,
                 epochs: 1,
                 barrier: BarrierKind::Round,
-                locked: false,
                 claimed_tau: 2,
             },
             "batch-hogwild-threaded" => StaleModel {
@@ -95,28 +94,7 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
                 updates_per_epoch: 1,
                 epochs: 2,
                 barrier: BarrierKind::Epoch,
-                locked: false,
                 claimed_tau: 2,
-            },
-            "striped-epoch" => StaleModel {
-                name: "striped-epoch",
-                writers: 2,
-                assignment: models::SHARED_1,
-                updates_per_epoch: 2,
-                epochs: 1,
-                barrier: BarrierKind::None,
-                locked: true,
-                claimed_tau: 0,
-            },
-            "two-row-update" => StaleModel {
-                name: "two-row-update",
-                writers: 2,
-                assignment: models::SHARED_2X2,
-                updates_per_epoch: 2,
-                epochs: 1,
-                barrier: BarrierKind::None,
-                locked: true,
-                claimed_tau: 0,
             },
             "partitioned-grid" => {
                 cross_check_grid_independence();
@@ -127,7 +105,6 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
                     updates_per_epoch: 2,
                     epochs: 1,
                     barrier: BarrierKind::None,
-                    locked: false,
                     claimed_tau: 0,
                 }
             }
@@ -139,15 +116,10 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
         // The model's shape must encode exactly what the annotation
         // claims, or the exhaustive check validates the wrong thing.
         let shape_ok = match (anno.footprint, anno.sync) {
-            (Footprint::SharedRows, SyncKind::RoundBarrier) => {
-                model.barrier == BarrierKind::Round && !model.locked
-            }
-            (Footprint::SharedRows, SyncKind::EpochJoin) => {
-                model.barrier == BarrierKind::Epoch && !model.locked
-            }
-            (Footprint::RowLocked, SyncKind::LockRelease) => model.locked,
+            (Footprint::SharedRows, SyncKind::RoundBarrier) => model.barrier == BarrierKind::Round,
+            (Footprint::SharedRows, SyncKind::EpochJoin) => model.barrier == BarrierKind::Epoch,
             (Footprint::DisjointRows, SyncKind::GridIndependence) => {
-                !model.locked && disjoint_assignment(model.assignment)
+                disjoint_assignment(model.assignment)
             }
             _ => false,
         };
@@ -164,7 +136,6 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
             SyncKind::EpochJoin => SyncEdge::Barrier {
                 interval: u64::from(model.updates_per_epoch),
             },
-            SyncKind::LockRelease => SyncEdge::LockRelease,
             // Disjoint row sets need no cross-writer edge: the
             // disjointness itself is the guarantee (and it is what the
             // grid cross-check above validates).
@@ -187,9 +158,9 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
         }
         paths.push(ShippedPath { spec, model });
     }
-    if paths.len() < 5 {
+    if paths.len() < 3 {
         drift(&format!(
-            "only {} update paths are annotated; the workspace ships 5",
+            "only {} update paths are annotated; the workspace ships 3",
             paths.len()
         ));
     }
@@ -355,9 +326,8 @@ fn witness_from_violation(
 /// each claiming the τ its (sabotaged) synchronisation would earn.
 pub fn broken_twins() -> Vec<StaleModel> {
     vec![
-        // The striped stripe protocol with its locks deleted: two
-        // column writers race on a shared stripe, still claiming the
-        // lock path's τ = 0.
+        // Two unsynchronised writers race on a shared row, still
+        // claiming the τ = 0 only disjoint rows earn.
         StaleModel {
             name: "twin/shared-stripe-columns",
             writers: 2,
@@ -365,7 +335,6 @@ pub fn broken_twins() -> Vec<StaleModel> {
             updates_per_epoch: 2,
             epochs: 1,
             barrier: BarrierKind::None,
-            locked: false,
             claimed_tau: 0,
         },
         // The thread_batch executor with the epoch join removed:
@@ -378,7 +347,6 @@ pub fn broken_twins() -> Vec<StaleModel> {
             updates_per_epoch: 1,
             epochs: 2,
             barrier: BarrierKind::None,
-            locked: false,
             claimed_tau: 2,
         },
         // A partitioned grid whose block assignment overlaps on a row,
@@ -390,7 +358,6 @@ pub fn broken_twins() -> Vec<StaleModel> {
             updates_per_epoch: 2,
             epochs: 1,
             barrier: BarrierKind::None,
-            locked: false,
             claimed_tau: 0,
         },
     ]
@@ -410,13 +377,13 @@ mod tests {
         assert!(s
             .lines
             .iter()
-            .any(|l| l.contains("5 update paths certified, 3 broken twins refuted")));
+            .any(|l| l.contains("3 update paths certified, 3 broken twins refuted")));
     }
 
     #[test]
     fn every_shipped_path_is_certified_with_finite_tau() {
         let paths = shipped_paths();
-        assert_eq!(paths.len(), 5, "the workspace ships five update paths");
+        assert_eq!(paths.len(), 3, "the workspace ships three update paths");
         for p in paths {
             let tau = staleness_bound(&p.spec).expect("shipped τ must be finite");
             assert_eq!(tau, u64::from(p.model.claimed_tau));

@@ -3,8 +3,8 @@
 //! One parametric [`StaleModel`] covers every update-path shape the
 //! asynchrony IR describes: `W` writers repeatedly read a snapshot of
 //! their assigned rows and commit a write back, with the path's
-//! synchronisation edge ([`BarrierKind`] / per-row locks) gating how far
-//! writers drift apart. The state tracks, per row, a *version counter*
+//! synchronisation edge ([`BarrierKind`]) gating how far writers drift
+//! apart. The state tracks, per row, a *version counter*
 //! bumped on every commit; the staleness a commit observes is simply
 //! `version_at_commit − version_at_snapshot` — the number of other
 //! writers' commits that landed between the read and the write it feeds.
@@ -47,9 +47,6 @@ pub struct StaleModel {
     pub epochs: u16,
     /// The synchronisation edge gating reads.
     pub barrier: BarrierKind,
-    /// Whether each update holds its rows' locks across the whole
-    /// read-modify-write (the striped paths).
-    pub locked: bool,
     /// The τ the static certifier claims for this path; the invariant
     /// `max observed staleness ≤ claimed_tau` is what the checker
     /// validates over all interleavings.
@@ -61,20 +58,18 @@ pub struct StaleModel {
 pub struct WriterState {
     /// Completed updates.
     done: u16,
-    /// 0 = before read (lock-acquire first when `locked`), then read,
-    /// then commit; wraps back to 0 after each update.
+    /// 0 = before read, 1 = before commit; wraps back to 0 after each
+    /// update.
     phase: u8,
     /// Row versions snapshotted by the pending update's read.
     snaps: [u16; 2],
 }
 
-/// Global state: shared row versions + locks + every writer's program.
+/// Global state: shared row versions + every writer's program.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StaleState {
     /// Commit counter per shared row.
     version: [u16; 2],
-    /// Lock holder per row: 0 = free, `w + 1` = held by writer `w`.
-    lock: [u8; 2],
     /// Writer-local states.
     writers: Vec<WriterState>,
     /// Largest staleness any commit has observed so far.
@@ -93,7 +88,7 @@ impl StaleModel {
     }
 
     /// Whether writer `w` may *start* its next update in `s` (barrier
-    /// gating; lock availability is handled separately).
+    /// gating).
     fn barrier_open(&self, s: &StaleState, w: usize) -> bool {
         let d = s.writers[w].done;
         match self.barrier {
@@ -123,7 +118,6 @@ impl Model for StaleModel {
     fn initial(&self) -> StaleState {
         StaleState {
             version: [0, 0],
-            lock: [0, 0],
             writers: vec![
                 WriterState {
                     done: 0,
@@ -142,42 +136,18 @@ impl Model for StaleModel {
         if ws.done >= self.quota() {
             return false;
         }
-        if ws.phase == 0 {
-            if !self.barrier_open(s, w) {
-                return false;
-            }
-            if self.locked {
-                // First step of a locked update atomically takes every
-                // touched row's lock (the canonical ascending-stripe
-                // order makes the multi-lock acquire deadlock-free; the
-                // deadlock certifier owns that proof, so the staleness
-                // model may treat it as one step).
-                return self.rows_of(w).iter().all(|&r| s.lock[r] == 0);
-            }
-        }
-        true
+        ws.phase != 0 || self.barrier_open(s, w)
     }
 
     fn step(&self, s: &StaleState, w: usize) -> StaleState {
         let mut n = s.clone();
-        let phase = s.writers[w].phase;
         let rows = self.rows_of(w);
-        // Phase layout: locked = acquire, read, commit+release;
-        // lock-free = read, commit.
-        let read_phase = u8::from(self.locked);
-        let commit_phase = read_phase + 1;
-        if self.locked && phase == 0 {
-            for &r in rows {
-                n.lock[r] = w as u8 + 1;
-            }
-            n.writers[w].phase = 1;
-        } else if phase == read_phase {
+        if s.writers[w].phase == 0 {
             for &r in rows {
                 n.writers[w].snaps[r] = s.version[r];
             }
-            n.writers[w].phase = commit_phase;
+            n.writers[w].phase = 1;
         } else {
-            debug_assert_eq!(phase, commit_phase);
             for &r in rows {
                 let observed = s.version[r] - s.writers[w].snaps[r];
                 if observed > n.max_observed {
@@ -185,11 +155,6 @@ impl Model for StaleModel {
                     n.worst_row = r as u8;
                 }
                 n.version[r] = s.version[r] + 1;
-            }
-            if self.locked {
-                for &r in rows {
-                    n.lock[r] = 0;
-                }
             }
             n.writers[w].phase = 0;
             n.writers[w].done += 1;
@@ -214,8 +179,6 @@ impl Model for StaleModel {
 
 /// Rows shared by every writer (the Hogwild shapes).
 pub const SHARED_1: &[&[usize]] = &[&[0], &[0], &[0]];
-/// Two writers, both updating the same two rows (the two-row path).
-pub const SHARED_2X2: &[&[usize]] = &[&[0, 1], &[0, 1]];
 /// Two writers on disjoint rows (an independent grid wave).
 pub const DISJOINT: &[&[usize]] = &[&[0], &[1]];
 /// Two writers whose blocks overlap on row 0 (the broken grid twin).
@@ -236,7 +199,6 @@ mod tests {
             updates_per_epoch: 2,
             epochs: 1,
             barrier: BarrierKind::Round,
-            locked: false,
             claimed_tau: 2,
         };
         let out = check(&m, MC_STATE_BUDGET);
@@ -260,7 +222,6 @@ mod tests {
             updates_per_epoch: 2,
             epochs: 2,
             barrier: BarrierKind::Epoch,
-            locked: false,
             claimed_tau: 2,
         };
         let out = check(&m, MC_STATE_BUDGET);
@@ -276,19 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn locks_and_disjoint_rows_mean_zero_staleness() {
-        let locked = StaleModel {
-            name: "locked-test",
-            writers: 2,
-            assignment: SHARED_2X2,
-            updates_per_epoch: 2,
-            epochs: 1,
-            barrier: BarrierKind::None,
-            locked: true,
-            claimed_tau: 0,
-        };
-        assert!(check(&locked, MC_STATE_BUDGET).verified());
-
+    fn disjoint_rows_mean_zero_staleness() {
         let disjoint = StaleModel {
             name: "disjoint-test",
             writers: 2,
@@ -296,7 +245,6 @@ mod tests {
             updates_per_epoch: 2,
             epochs: 1,
             barrier: BarrierKind::None,
-            locked: false,
             claimed_tau: 0,
         };
         assert!(check(&disjoint, MC_STATE_BUDGET).verified());
@@ -311,7 +259,6 @@ mod tests {
             updates_per_epoch: 2,
             epochs: 1,
             barrier: BarrierKind::None,
-            locked: false,
             claimed_tau: 0,
         };
         let out = check(&m, MC_STATE_BUDGET);

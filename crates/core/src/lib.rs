@@ -50,6 +50,7 @@
 //! assert!(result.trace.final_rmse().unwrap() < 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bias;
@@ -72,7 +73,7 @@ pub mod solver;
 pub mod stale;
 
 pub use bias::{train_biased, BiasedConfig, BiasedModel, BiasedResult};
-pub use concurrent::{AtomicFactors, EpochStats, ExecMode, StripedFactors, DEFAULT_THREAD_BATCH};
+pub use concurrent::{AtomicFactors, EpochStats, ExecMode, DEFAULT_THREAD_BATCH};
 pub use engine::{
     BiasTerms, EngineModel, EpochBackend, EpochObserver, EpochPipeline, ExecEngine, PipelineRun,
     ResumeState, TimeDomain, TrainReport,

@@ -2,9 +2,9 @@
 //!
 //! Implements the candidate-lockset algorithm of Savage et al.'s *Eraser*
 //! (SOSP'97), simplified to this crate's needs: every monitored memory
-//! location (a factor **row** of a [`crate::concurrent::StripedFactors`]
-//! or [`crate::concurrent::AtomicFactors`] instance) carries a candidate
-//! set `C(v)` of locks believed to protect it.
+//! location (a factor **row** of a [`crate::concurrent::AtomicFactors`]
+//! instance, or a shard slot of the serving simulation) carries a
+//! candidate set `C(v)` of locks believed to protect it.
 //!
 //! * The first accessing thread leaves the location *exclusive* — no
 //!   lockset is kept while a single thread owns it (initialisation).
@@ -14,12 +14,13 @@
 //! * `C(v) = ∅` means no single lock protected every access — a data race
 //!   candidate; one [`RaceReport`] is emitted per location.
 //!
-//! The striped executor acquires the stripe covering each row before
-//! touching it, so every row's lockset stabilises at its stripe — zero
-//! reports. The lock-free Hogwild! executor holds nothing, so the first
+//! The lock-free Hogwild! executor holds nothing, so the first
 //! cross-thread access empties the lockset — which is precisely the
 //! by-design race the paper's §5.1 argues convergence tolerates. The
-//! sanitizer turns both statements into observed facts.
+//! serving simulation touches its slots from one thread only, so every
+//! slot stays exclusive — zero reports. The sanitizer turns both
+//! statements into observed facts. Code that guards its accesses with
+//! locks registers them with [`hold`].
 //!
 //! Instrumentation is compiled in only under the `sanitize` feature and is
 //! additionally gated at runtime by [`set_enabled`] so unrelated code
@@ -30,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Identifies one lock (a stripe of one instance) process-wide.
+/// Identifies one lock process-wide.
 pub type LockId = u64;
 
 /// Identifies one monitored location: `(instance id, row)`.
@@ -48,7 +49,7 @@ pub enum AccessKind {
 /// One location whose candidate lockset went empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaceReport {
-    /// Instrumentation site (`"striped"` or `"atomic"`).
+    /// Instrumentation site (`"atomic"` or `"serve-slot"`).
     pub site: &'static str,
     /// The racy location `(instance id, row)`.
     pub location: Location,
@@ -217,8 +218,8 @@ mod tests {
         let inst = new_instance();
 
         // Exclusive accesses by one thread never report, locked or not.
-        on_access("striped", (inst, 0), AccessKind::Write);
-        on_access("striped", (inst, 0), AccessKind::Write);
+        on_access("test", (inst, 0), AccessKind::Write);
+        on_access("test", (inst, 0), AccessKind::Write);
         assert_eq!(race_count(), 0);
 
         // A second thread accessing with a common lock keeps C(v) alive.
@@ -226,13 +227,13 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _l = hold(7);
-                on_access("striped", (locked, 1), AccessKind::Write);
+                on_access("test", (locked, 1), AccessKind::Write);
             });
         });
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _l = hold(7);
-                on_access("striped", (locked, 1), AccessKind::Write);
+                on_access("test", (locked, 1), AccessKind::Write);
             });
         });
         assert_eq!(race_count(), 0, "common lock 7 protects the row");
@@ -259,7 +260,7 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(move || {
                     let _l = hold(lock);
-                    on_access("striped", (disjoint, 2), AccessKind::Write);
+                    on_access("test", (disjoint, 2), AccessKind::Write);
                 });
             });
         }

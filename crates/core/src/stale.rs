@@ -10,23 +10,21 @@
 //! Every shipped update path is lifted into a small **asynchrony IR**:
 //!
 //! * a writer set (how many concurrent writers race on the factors),
-//! * a row-access [`Footprint`] (lock-serialised rows, disjoint row
-//!   partitions, or genuinely shared rows),
+//! * a row-access [`Footprint`] (disjoint row partitions, or genuinely
+//!   shared rows),
 //! * the [`SyncEdge`] bounding how far a writer can run ahead of the
-//!   others (per-row lock release, a barrier every `interval` updates,
-//!   or nothing at all).
+//!   others (a barrier every `interval` updates, or nothing at all).
 //!
 //! [`staleness_bound`] computes the worst-case per-row staleness τ from
 //! that description — `(writers − 1) × interval` for barrier-synced
-//! shared rows, `0` for lock-serialised or disjoint footprints, and
+//! shared rows, `0` for disjoint footprints, and
 //! *unbounded* (refuted) for shared rows with no synchronisation edge.
 //! [`certify_staleness`] then checks the lr·τ safety condition against
 //! the run's configured [`Schedule`] and either emits a [`StaleCert`]
 //! (FNV-1a digest, τ, the condition value) or a [`StaleWitness`].
 //!
 //! The shipped paths are declared next to their executors in
-//! [`crate::concurrent::UPDATE_PATHS`] — the same in-source annotation
-//! pattern as `LOCK_SITES` — and the `cumf-analyze` staleness section
+//! [`crate::concurrent::UPDATE_PATHS`], and the `cumf-analyze` staleness section
 //! cross-validates every τ claimed here by exhaustive interleaving
 //! model checking (with broken twins that must be refuted).
 //! [`resolve_stale_mode`] is the solver-side consumer: a racy default
@@ -43,8 +41,6 @@ use crate::Verdict;
 /// writers can touch at the same time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Footprint {
-    /// Every row access happens under that row's (stripe) lock.
-    RowLocked,
     /// Writers are assigned pairwise-disjoint row sets (grid blocks).
     DisjointRows,
     /// Any writer may touch any row at any time (Hogwild!).
@@ -55,7 +51,6 @@ impl Footprint {
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
-            Footprint::RowLocked => "row-locked",
             Footprint::DisjointRows => "disjoint-rows",
             Footprint::SharedRows => "shared-rows",
         }
@@ -66,9 +61,6 @@ impl Footprint {
 /// publish between a read and the write that read feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncEdge {
-    /// Each write is published under a per-row lock held across the
-    /// read-modify-write, so the read a write feeds is never stale.
-    LockRelease,
     /// A full barrier every `interval` updates per writer (interval 1 =
     /// the round-lockstep stale-additive engine; interval = the
     /// per-epoch quota = the epoch join of the threaded executor).
@@ -85,8 +77,6 @@ pub enum SyncEdge {
 /// maps these to concrete [`SyncEdge`]s when it instantiates a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncKind {
-    /// Per-row stripe locks held across each read-modify-write.
-    LockRelease,
     /// The round-lockstep barrier of the stale-additive engine
     /// (snapshot → delta → additive commit, one sample per worker per
     /// round): a barrier every 1 update.
@@ -103,7 +93,6 @@ impl SyncKind {
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
-            SyncKind::LockRelease => "lock-release",
             SyncKind::RoundBarrier => "round-barrier",
             SyncKind::EpochJoin => "epoch-join",
             SyncKind::GridIndependence => "grid-independence",
@@ -112,8 +101,7 @@ impl SyncKind {
 }
 
 /// One statically-declared update path: the asynchrony shape of an
-/// executor, living next to the code it describes (the analogue of
-/// `LockSiteAnno` for staleness instead of lock order).
+/// executor, living next to the code it describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdatePathAnno {
     /// Path name (one staleness certificate per path).
@@ -167,10 +155,9 @@ impl PathSpec {
 /// rows with no synchronisation edge cannot be certified.
 pub fn staleness_bound(spec: &PathSpec) -> Option<u64> {
     match (spec.footprint, spec.sync) {
-        // Lock-serialised or disjoint rows: the read a write feeds is
-        // never stale, whatever the writer count.
-        (Footprint::RowLocked, _) | (Footprint::DisjointRows, _) => Some(0),
-        (Footprint::SharedRows, SyncEdge::LockRelease) => Some(0),
+        // Disjoint rows: the read a write feeds is never stale, whatever
+        // the writer count.
+        (Footprint::DisjointRows, _) => Some(0),
         // Between a read and its write, each of the other writers can
         // publish at most `interval` updates before the barrier stops it.
         (Footprint::SharedRows, SyncEdge::Barrier { interval }) => {
@@ -385,12 +372,6 @@ mod tests {
     fn bounds_match_the_ir() {
         assert_eq!(staleness_bound(&shared(8, 1, 100)), Some(7));
         assert_eq!(staleness_bound(&shared(8, 256, 100)), Some(7 * 256));
-        let locked = PathSpec {
-            footprint: Footprint::RowLocked,
-            sync: SyncEdge::LockRelease,
-            ..shared(8, 1, 100)
-        };
-        assert_eq!(staleness_bound(&locked), Some(0));
         let disjoint = PathSpec {
             footprint: Footprint::DisjointRows,
             sync: SyncEdge::Unsynced,

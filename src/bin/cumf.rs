@@ -118,7 +118,7 @@ run).
 `analyze` runs the offline analyzers (exit code 1 on any failure): the
 schedule conflict prover (wavefront / LIBMF certified conflict-free,
 batch-Hogwild! refuted with a witness), the interleaving model checker
-(stripe-lock order, torn rows/cells, work claiming), --deadlock, the
+(torn atomic cells, work claiming), --deadlock, the
 static deadlock & liveness certifier (lock-order graphs of every
 shipped blocking protocol proven acyclic with replayable cycle
 witnesses for the broken twins, waiter grants bounded under the FIFO
@@ -127,7 +127,7 @@ chains), --staleness, the static staleness & asynchrony certifier
 (every lock-free update path lifted into an asynchrony IR, its
 worst-case per-row staleness bound τ derived and exhaustively validated
 by the interleaving checker, the lr·τ safety condition certified, and
-three broken twins — deleted stripe locks, removed epoch barrier,
+three broken twins — unsynchronised shared rows, removed epoch barrier,
 overlapping grid blocks — refuted with replayable witnesses), the kernel-IR
 static passes — --cost certifies Eq. 5's bytes/flops-per-update against
 both the analytical model and the DES executor's charged bytes (and
@@ -137,7 +137,8 @@ line footprints (cuMF coalesced, BIDMach column-major flagged),
 relative-error domains — plus --lint, the source determinism lint (no
 wall clocks / hash-ordered containers in deterministic crates), and —
 when built with `--features sanitize` — the Eraser-style lockset race
-sanitizer over the threaded executors. No section flag means --all.
+sanitizer over the lock-free threaded Hogwild! executor. No section
+flag means --all.
 --explain <id> prints the long-form documentation of a lint rule id
 (CUMF-LINT-001…) and exits.
 

@@ -1,16 +1,14 @@
 //! Cross-validation of the concurrent executors: the deterministic
-//! round-based engine, the lock-free atomic Hogwild! threads, the
-//! lock-striped threads, and the message-passing NOMAD ring must all
-//! solve the same problem to the same quality.
+//! round-based engine, the lock-free atomic Hogwild! threads, and the
+//! message-passing NOMAD ring must all solve the same problem to the
+//! same quality.
 
 use std::sync::Arc;
 
 use cumf_rng::ChaCha8Rng;
 use cumf_rng::SeedableRng;
 use cumf_sgd::baselines::{train_nomad_threaded, NomadConfig};
-use cumf_sgd::core::concurrent::{
-    striped_locked_epoch, threaded_hogwild_epoch, AtomicFactors, StripedFactors,
-};
+use cumf_sgd::core::concurrent::{threaded_hogwild_epoch, AtomicFactors};
 use cumf_sgd::core::solver::{train, Scheme, SolverConfig};
 use cumf_sgd::core::{rmse, FactorMatrix, Schedule};
 use cumf_sgd::data::synth::{generate, SynthConfig, SynthDataset};
@@ -80,21 +78,6 @@ fn atomic_threads_reach_quality() {
 }
 
 #[test]
-fn striped_locks_reach_quality() {
-    let d = dataset();
-    let (p0, q0) = init_factors(&d);
-    let p = StripedFactors::from_matrix(&p0, 128);
-    let q = StripedFactors::from_matrix(&q0, 128);
-    for _ in 0..EPOCHS {
-        striped_locked_epoch(&d.train, &p, &q, 4, 128, GAMMA, LAMBDA);
-    }
-    let pm: FactorMatrix<f32> = p.into_matrix();
-    let qm: FactorMatrix<f32> = q.into_matrix();
-    let r = rmse(&d.test, &pm, &qm);
-    assert!(r < QUALITY, "striped-lock rmse {r}");
-}
-
-#[test]
 fn nomad_ring_reaches_quality() {
     let d = dataset();
     let mut cfg = NomadConfig::new(K, 3);
@@ -110,7 +93,7 @@ fn nomad_ring_reaches_quality() {
     );
 }
 
-/// All four executors land in a tight quality band of each other — the
+/// All three executors land in a tight quality band of each other — the
 /// parallelisation strategy must not change what is learned.
 #[test]
 fn all_executors_agree_on_quality() {
@@ -135,16 +118,16 @@ fn all_executors_agree_on_quality() {
         .final_rmse()
         .unwrap();
 
-    // Striped locks.
+    // Atomic Hogwild! threads.
     let (p0, q0) = init_factors(&d);
-    let p = StripedFactors::from_matrix(&p0, 64);
-    let q = StripedFactors::from_matrix(&q0, 64);
+    let p = Arc::new(AtomicFactors::from_matrix(&p0));
+    let q = Arc::new(AtomicFactors::from_matrix(&q0));
     for _ in 0..EPOCHS {
-        striped_locked_epoch(&d.train, &p, &q, 4, 64, GAMMA, LAMBDA);
+        threaded_hogwild_epoch(&d.train, &p, &q, 4, 64, GAMMA, LAMBDA);
     }
-    let pm: FactorMatrix<f32> = p.into_matrix();
-    let qm: FactorMatrix<f32> = q.into_matrix();
-    let striped = rmse(&d.test, &pm, &qm);
+    let pm: FactorMatrix<f32> = p.to_matrix();
+    let qm: FactorMatrix<f32> = q.to_matrix();
+    let atomic = rmse(&d.test, &pm, &qm);
 
     // NOMAD ring.
     let mut ncfg = NomadConfig::new(K, 3);
@@ -157,7 +140,7 @@ fn all_executors_agree_on_quality() {
         .final_rmse()
         .unwrap();
 
-    for (name, value) in [("striped", striped), ("nomad", nomad)] {
+    for (name, value) in [("atomic", atomic), ("nomad", nomad)] {
         assert!(
             (value - round).abs() < 0.05,
             "{name} rmse {value} strays from round-engine {round}"

@@ -1,95 +1,89 @@
-//! Drift guard for `SAFETY.md`: the unsafe-code audit table must stay
-//! in lockstep with the `unsafe` occurrences actually present in
-//! `cumf-core` — the one crate allowed to use them.
+//! Drift guard for `SAFETY.md`'s policy: the workspace contains no
+//! `unsafe` code, and every library crate root forbids it.
 //!
-//! The audit table carries a `Sites` column counting `unsafe`
-//! occurrences per row. This test re-counts both sides from source:
-//! adding an `unsafe` without a new audit row (or deleting one and
-//! leaving a stale row) turns this test red instead of silently
-//! rotting the document.
+//! The first test counts `unsafe` tokens in code (comments stripped)
+//! across `src/` and every `crates/*/src`, bin targets included, so an
+//! `unsafe` anywhere is a red test. The second checks that each library
+//! crate root carries `#![forbid(unsafe_code)]`, which makes a new
+//! `unsafe` a compile error in the first place.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Counts `unsafe` occurrences in code (not comments or strings-in-docs)
-/// across every `.rs` file under `dir`, recursively.
-fn count_unsafe_in(dir: &Path) -> usize {
-    let mut total = 0;
+const FORBID: &str = "#![forbid(unsafe_code)]";
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
     for entry in std::fs::read_dir(dir).expect("source dir must be readable") {
         let path = entry.expect("dir entry").path();
         if path.is_dir() {
-            total += count_unsafe_in(&path);
+            files.extend(rust_files(&path));
         } else if path.extension().is_some_and(|e| e == "rs") {
-            let src = std::fs::read_to_string(&path).expect("source must be UTF-8");
-            for line in src.lines() {
-                let code = match line.find("//") {
-                    Some(i) => &line[..i],
-                    None => line,
-                };
-                if code.contains("forbid(unsafe_code)") {
-                    continue;
-                }
-                total += code.matches("unsafe").count();
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// `src/` plus every `crates/*/src` directory of the workspace.
+fn source_roots() -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut roots = vec![root.join("src")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ must exist") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            roots.push(src);
+        }
+    }
+    roots
+}
+
+/// Counts `unsafe` tokens in code (not comments), ignoring the
+/// `forbid(unsafe_code)` attribute itself.
+fn count_unsafe(src: &str) -> usize {
+    src.lines()
+        .map(|line| match line.find("//") {
+            Some(i) => &line[..i],
+            None => line,
+        })
+        .filter(|code| !code.contains("forbid(unsafe_code)"))
+        .map(|code| code.matches("unsafe").count())
+        .sum()
+}
+
+#[test]
+fn no_source_file_contains_unsafe() {
+    let mut offenders = Vec::new();
+    let mut scanned = 0;
+    for dir in source_roots() {
+        for file in rust_files(&dir) {
+            scanned += 1;
+            let src = std::fs::read_to_string(&file).expect("source must be UTF-8");
+            let n = count_unsafe(&src);
+            if n > 0 {
+                offenders.push(format!("{} ({n})", file.display()));
             }
         }
     }
-    total
-}
-
-/// Parses the audit table in SAFETY.md and returns the sum of its
-/// `Sites` column. Rows look like `| 3 | 1 | crates/core/... | ... |`.
-fn audited_sites(safety_md: &str) -> (usize, usize) {
-    let mut rows = 0;
-    let mut sites = 0;
-    for line in safety_md.lines() {
-        let mut cells = line.split('|').map(str::trim);
-        // A data row: empty, row number, sites count, ...
-        let Some("") = cells.next() else { continue };
-        let Some(n) = cells.next() else { continue };
-        if n.is_empty() || !n.chars().all(|c| c.is_ascii_digit()) {
-            continue;
-        }
-        let Some(s) = cells.next() else { continue };
-        let Ok(s) = s.parse::<usize>() else { continue };
-        rows += 1;
-        sites += s;
-    }
-    (rows, sites)
-}
-
-#[test]
-fn safety_audit_table_matches_the_unsafe_count_in_cumf_core() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let safety = std::fs::read_to_string(root.join("SAFETY.md")).expect("SAFETY.md must exist");
-    let (rows, audited) = audited_sites(&safety);
+    assert!(scanned > 100, "only {scanned} source files found");
     assert!(
-        rows >= 4,
-        "the audit table lost rows — found only {rows}; \
-         did a rewrite drop the Sites column?"
-    );
-    let actual = count_unsafe_in(&root.join("crates/core/src"));
-    assert_eq!(
-        audited, actual,
-        "SAFETY.md audits {audited} unsafe occurrence(s) across {rows} rows, \
-         but cumf-core contains {actual}. Update the audit table (and its \
-         mechanical checks) whenever an `unsafe` is added or removed."
+        offenders.is_empty(),
+        "`unsafe` found in {offenders:?}; SAFETY.md's policy is zero `unsafe`"
     );
 }
 
 #[test]
-fn no_other_crate_contains_unsafe() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ must exist") {
-        let crate_dir = entry.expect("dir entry").path();
-        if !crate_dir.is_dir() || crate_dir.file_name().is_some_and(|n| n == "core") {
-            continue;
-        }
-        let src = crate_dir.join("src");
-        assert_eq!(
-            count_unsafe_in(&src),
-            0,
-            "{} contains `unsafe` but only cumf-core is audited for it \
-             (see SAFETY.md)",
-            crate_dir.display()
+fn every_library_crate_root_forbids_unsafe() {
+    let roots = source_roots();
+    assert!(roots.len() >= 11, "expected the root crate and ten crates");
+    for dir in roots {
+        let lib = dir.join("lib.rs");
+        let src =
+            std::fs::read_to_string(&lib).unwrap_or_else(|e| panic!("{}: {e}", lib.display()));
+        assert!(
+            src.lines().any(|l| l.trim() == FORBID),
+            "{} lacks `{FORBID}`",
+            lib.display()
         );
     }
 }
