@@ -5,7 +5,7 @@
 //! run epoch `e` at learning rate `γ` against an [`EngineModel`].
 //!
 //! * [`StreamBackend`] — the single-device path: one [`UpdateStream`]
-//!   feeding one [`ExecEngine`] (the solver, the biased trainer);
+//!   feeding one [`ExecEngine`] (the solver);
 //! * [`CertifyingBackend`] — the single-device path for a schedule that
 //!   claims conflict-freedom: sequential execution that proves the claim
 //!   as it runs;

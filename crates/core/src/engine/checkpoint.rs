@@ -301,6 +301,15 @@ pub fn load_checkpoint<E: Element>(
     if k == 0 {
         return Err(ModelIoError::Format("k must be positive".into()));
     }
+    if let Some(b) = &bias {
+        if b.user.len() != m as usize || b.item.len() != n as usize {
+            return Err(ModelIoError::Format(format!(
+                "bias terms cover {} users and {} items but the factors have {m} and {n} rows",
+                b.user.len(),
+                b.item.len()
+            )));
+        }
+    }
     let p = read_matrix::<E, _>(&mut r, m, k)?;
     let q = read_matrix::<E, _>(&mut r, n, k)?;
     Ok((
@@ -466,6 +475,26 @@ mod tests {
         assert_eq!(state, sample_state());
         assert_eq!(model.p.rows(), 4);
         assert_eq!(model.q.rows(), 5);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn rejects_bias_lengths_that_differ_from_the_factor_rows() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let model = EngineModel::<f32> {
+            p: FactorMatrix::random_init(4, 2, &mut rng),
+            q: FactorMatrix::random_init(5, 2, &mut rng),
+            bias: Some(BiasTerms {
+                mu: 3.0,
+                user: vec![0.0; 3],
+                item: vec![0.0; 5],
+            }),
+        };
+        let path = ckpt_path("short_bias.cmfk");
+        save_checkpoint(&path, &model, &sample_state()).unwrap();
+        let err = load_checkpoint::<f32>(&path).unwrap_err();
+        assert!(matches!(err, ModelIoError::Format(_)), "{err}");
+        assert!(err.to_string().contains("3 users"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 

@@ -10,9 +10,9 @@
 //! * [`ThreadedHogwildEngine`] — real OS threads racing on atomic f32
 //!   cells (cross-validation on multi-core hosts).
 //!
-//! All three support the bias-free model; the first two also train the
-//! biased model (`μ + b_u + b_v + p·q`), extending the same stale-read /
-//! additive-commit semantics to the bias cells.
+//! All three support the bias-free model; only the stale-additive engine
+//! also trains the biased model (`μ + b_u + b_v + p·q`), extending the
+//! same stale-read / additive-commit semantics to the bias cells.
 
 use std::sync::Arc;
 
@@ -41,7 +41,8 @@ pub trait ExecEngine<E: Element> {
     fn name(&self) -> &'static str;
 }
 
-/// Immediate in-order application ([`ExecMode::Sequential`]).
+/// Immediate in-order application ([`ExecMode::Sequential`]). Does not
+/// support the biased model.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialEngine;
 
@@ -130,9 +131,7 @@ pub fn engine_for<E: Element>(
     }
 }
 
-/// One epoch of immediate in-order application. With biases present, each
-/// sample updates `b_u`/`b_v` with the prediction error before the factor
-/// rows (both against the pre-update values, as in Algorithm 1).
+/// One epoch of immediate in-order application (Algorithm 1).
 ///
 /// Sequential execution is only *exact* for conflict-free schedules, so
 /// this engine checks the invariant as it goes: every sample claims its
@@ -148,23 +147,25 @@ pub fn engine_for<E: Element>(
 ///
 /// # Panics
 ///
-/// With a certifier: if the stream schedules a sample out of `data`'s
-/// bounds, or an epoch exceeds the certifier's round bound.
+/// Panics when the view carries bias terms. With a certifier: if the
+/// stream schedules a sample out of `data`'s bounds, or an epoch exceeds
+/// the certifier's round bound.
 pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
     data: &CooMatrix,
-    mut model: ModelView<'_, E>,
+    model: ModelView<'_, E>,
     stream: &mut S,
     gamma: f32,
     lambda: f32,
     mut certifier: Option<&mut Certifier>,
 ) -> EpochStats {
+    assert!(
+        model.bias.is_none(),
+        "the sequential engine does not support the biased model"
+    );
     let s = stream.workers();
-    let k = model.p.k() as usize;
     let mut stats = EpochStats::default();
     let mut exhausted = vec![false; s];
     let mut live = s;
-    let mut pu = vec![0.0f32; k];
-    let mut qv = vec![0.0f32; k];
     let mut claims = RoundClaims::with_capacity(s);
     while live > 0 {
         stats.rounds += 1;
@@ -188,39 +189,14 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
                     };
                     row_collision |= clash.row.is_some();
                     col_collision |= clash.col.is_some();
-                    match model.bias.as_deref_mut() {
-                        None => {
-                            // Split borrows: p and q are distinct matrices.
-                            sgd_update(
-                                model.p.row_mut(e.u),
-                                model.q.row_mut(e.v),
-                                e.r,
-                                gamma,
-                                lambda,
-                            );
-                        }
-                        Some(bias) => {
-                            model.p.load_row(e.u, &mut pu);
-                            model.q.load_row(e.v, &mut qv);
-                            let bu = bias.user[e.u as usize];
-                            let bv = bias.item[e.v as usize];
-                            let pred = bias.mu
-                                + bu
-                                + bv
-                                + pu.iter().zip(&qv).map(|(a, b)| a * b).sum::<f32>();
-                            let err = e.r - pred;
-                            bias.user[e.u as usize] = bu + gamma * (err - lambda * bu);
-                            bias.item[e.v as usize] = bv + gamma * (err - lambda * bv);
-                            for j in 0..k {
-                                let pj = pu[j];
-                                let qj = qv[j];
-                                pu[j] = pj + gamma * (err * qj - lambda * pj);
-                                qv[j] = qj + gamma * (err * pj - lambda * qj);
-                            }
-                            model.p.store_row(e.u, &pu);
-                            model.q.store_row(e.v, &qv);
-                        }
-                    }
+                    // Split borrows: p and q are distinct matrices.
+                    sgd_update(
+                        model.p.row_mut(e.u),
+                        model.q.row_mut(e.v),
+                        e.r,
+                        gamma,
+                        lambda,
+                    );
                     stats.updates += 1;
                 }
                 StreamItem::Stall => stats.stalls += 1,
@@ -237,13 +213,6 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
         stats.col_collisions += u64::from(col_collision);
     }
     stats
-}
-
-/// Sorts a round's row (or column) ids and reports whether two workers
-/// touched the same one.
-fn has_duplicate(ids: &mut [u32]) -> bool {
-    ids.sort_unstable();
-    ids.windows(2).any(|w| w[0] == w[1])
 }
 
 /// One epoch of round-snapshot reads + additive commits (the Hogwild!
@@ -276,13 +245,14 @@ pub fn stale_additive_epoch<E: Element, S: UpdateStream + ?Sized>(
     let mut snap_bv = vec![0.0f32; s];
     let mut dbu = vec![0.0f32; s];
     let mut dbv = vec![0.0f32; s];
-    let mut rows: Vec<u32> = Vec::with_capacity(s);
-    let mut cols: Vec<u32> = Vec::with_capacity(s);
+    let mut claims = RoundClaims::with_capacity(s);
 
     while live > 0 {
         stats.rounds += 1;
         round.clear();
         ratings.clear();
+        claims.clear();
+        let (mut row_collision, mut col_collision) = (false, false);
         for (w, done) in exhausted.iter_mut().enumerate() {
             if *done {
                 continue;
@@ -290,6 +260,9 @@ pub fn stale_additive_epoch<E: Element, S: UpdateStream + ?Sized>(
             match stream.next(w) {
                 StreamItem::Sample(i) => {
                     let e = data.get(i);
+                    let clash = claims.claim(w, i, e.u, e.v);
+                    row_collision |= clash.row.is_some();
+                    col_collision |= clash.col.is_some();
                     round.push((e.u, e.v));
                     ratings.push(e.r);
                 }
@@ -312,13 +285,6 @@ pub fn stale_additive_epoch<E: Element, S: UpdateStream + ?Sized>(
                 snap_bv[idx] = bias.item[v as usize];
             }
         }
-        // Collision accounting.
-        rows.clear();
-        rows.extend(round.iter().map(|&(u, _)| u));
-        let row_collision = has_duplicate(&mut rows);
-        cols.clear();
-        cols.extend(round.iter().map(|&(_, v)| v));
-        let col_collision = has_duplicate(&mut cols);
         stats.row_collisions += u64::from(row_collision);
         stats.col_collisions += u64::from(col_collision);
         // Phase 2: compute deltas against the snapshot.
@@ -441,38 +407,6 @@ mod tests {
         EngineModel::init_unbiased(&tiny_data(), 4, &mut rng)
     }
 
-    fn biased_model(seed: u64) -> EngineModel<f32> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        EngineModel::init_biased(&tiny_data(), 4, &mut rng)
-    }
-
-    #[test]
-    fn biased_stale_single_worker_matches_sequential() {
-        // One worker → no collisions → stale-additive must equal the
-        // sequential biased path (modulo the dot-product order, which both
-        // paths share: the plain serial sum).
-        let data = tiny_data();
-        let mut m1 = biased_model(3);
-        let mut m2 = m1.clone();
-        let mut s1 = SerialStream::new(data.nnz());
-        let mut s2 = SerialStream::new(data.nnz());
-        sequential_epoch(&data, m1.view(), &mut s1, 0.05, 0.01, None);
-        stale_additive_epoch(&data, m2.view(), &mut s2, 0.05, 0.01);
-        let b1 = m1.bias.as_ref().unwrap();
-        let b2 = m2.bias.as_ref().unwrap();
-        for (a, b) in b1.user.iter().zip(&b2.user) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        for (a, b) in b1.item.iter().zip(&b2.item) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        for r in 0..20 {
-            for (a, b) in m1.p.row(r).iter().zip(m2.p.row(r)) {
-                assert!((a - b).abs() < 1e-5);
-            }
-        }
-    }
-
     /// A small Zipf-skewed data set: 8 batch-Hogwild! workers over 60 rows
     /// and 50 columns collide in many rounds but not in all, so both commit
     /// paths of [`stale_additive_epoch`] run.
@@ -554,9 +488,8 @@ mod tests {
 
     #[test]
     fn claim_scan_counts_the_collisions_a_sort_finds() {
-        // Both engines consume the same rounds; the sequential engine's
-        // claim scan must flag exactly the rounds the stale-additive
-        // engine's sort-and-scan does.
+        // Both engines consume the same rounds through the same claim
+        // scan, so they must flag exactly the same collision rounds.
         let d = collision_heavy();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let init: EngineModel<f32> = EngineModel::init_unbiased(&d.train, 8, &mut rng);
@@ -585,16 +518,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not support the biased model")]
     fn threaded_engine_rejects_bias() {
+        // The sequential engine rejects the biased model the same way.
         let data = tiny_data();
-        let mut m = unbiased_model(9);
-        m.bias = Some(BiasTerms {
-            mu: 0.0,
-            user: vec![0.0; 20],
-            item: vec![0.0; 20],
-        });
-        let _ = threaded_epoch(&data, m.view(), 2, 8, 0.05, 0.01);
+        for mode in [ExecMode::Threaded, ExecMode::Sequential] {
+            let mut m = unbiased_model(9);
+            m.bias = Some(BiasTerms {
+                mu: 0.0,
+                user: vec![0.0; 20],
+                item: vec![0.0; 20],
+            });
+            let mut stream = SerialStream::new(data.nnz());
+            let mut engine = engine_for::<f32>(mode, 2, 8);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_epoch(&data, m.view(), &mut stream, 0.05, 0.01)
+            }))
+            .expect_err("biased model must be rejected");
+            let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(
+                msg.contains("does not support the biased model"),
+                "{mode:?}: {msg}"
+            );
+        }
     }
 
     #[test]

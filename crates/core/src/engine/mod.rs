@@ -14,11 +14,12 @@
 //! [`EpochPipeline::run`] drives an [`EpochBackend`] (stream-fed
 //! single-device, or §6's partitioned multi-GPU) for up to `epochs`
 //! epochs: learning rate → backend → time domain → RMSE eval → trace
-//! point → observers. `solver::train`, `multi_gpu::train_partitioned`,
-//! `bias::train_biased`, and the `cumf-baselines` solvers are all thin
-//! clients of this one loop, so previously-impossible combinations
-//! (biased + partitioned, FP16 + threaded Hogwild!) are plain
-//! configuration.
+//! point → observers. `solver::train`, `multi_gpu::train_partitioned`
+//! and the `cumf-baselines` solvers are all thin clients of this one
+//! loop, so previously-impossible combinations (biased + partitioned,
+//! FP16 + threaded Hogwild!) are plain configuration. The biased model
+//! trains on the partitioned path, whose blocks run on the stale-additive
+//! engine, the only engine that updates bias terms.
 
 pub mod backend;
 pub mod checkpoint;
@@ -39,10 +40,7 @@ pub use model::{BiasTerms, EngineModel, ModelView};
 pub use observer::{
     Checkpointer, DivergenceGuard, EpochCtx, EpochObserver, ObsProbes, PipelineControl,
 };
-pub use time::{
-    BackendTime, FixedPerEpoch, ModelTime, NoSimTime, SimExecutorTime, TimeDomain, TimeModel,
-    WallClockTime,
-};
+pub use time::{BackendTime, FixedPerEpoch, ModelTime, NoSimTime, TimeDomain, TimeModel};
 
 use cumf_data::CooMatrix;
 

@@ -202,4 +202,12 @@ mod tests {
         assert!((model.predict(0, 0) - 5.75).abs() < 1e-6);
         assert!((model.predict(1, 0) - 6.75).abs() < 1e-6);
     }
+
+    #[test]
+    fn biased_rmse_of_empty_test_is_zero() {
+        let data = tiny();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let model = EngineModel::<f32>::init_biased(&data, 2, &mut rng);
+        assert_eq!(model.rmse(&CooMatrix::new(4, 3)), 0.0);
+    }
 }

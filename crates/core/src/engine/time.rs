@@ -5,17 +5,12 @@
 //! converts an epoch's [`EpochOutcome`] into seconds on its clock:
 //!
 //! * [`NoSimTime`] — no clock; trace seconds stay zero;
-//! * [`WallClockTime`] — the host's measured wall time;
 //! * [`ModelTime`] — the bandwidth-law [`TimeModel`] (Eq. 5/7: rounds ×
 //!   bytes-per-update × workers ÷ bandwidth);
-//! * [`SimExecutorTime`] — throughput from the `cumf-gpu-sim`
-//!   discrete-event executor, including scheduler contention;
 //! * [`BackendTime`] — the backend's own clock (the multi-GPU
 //!   transfer/compute pipeline of §6.2);
 //! * [`FixedPerEpoch`] — a constant per epoch (the baselines' analytic
 //!   epoch costs).
-
-use cumf_gpu_sim::{simulate_throughput, SchedulerModel, ThroughputConfig};
 
 use crate::concurrent::EpochStats;
 use crate::SgdUpdateCost;
@@ -67,20 +62,6 @@ impl TimeDomain for NoSimTime {
     }
 }
 
-/// Host wall-clock time of the update phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WallClockTime;
-
-impl TimeDomain for WallClockTime {
-    fn epoch_seconds(&mut self, _outcome: &EpochOutcome, _workers: u32, wall: f64) -> f64 {
-        wall
-    }
-
-    fn name(&self) -> &'static str {
-        "wall-clock"
-    }
-}
-
 /// The bandwidth-law machine model ([`TimeModel`]) as a time domain.
 #[derive(Debug, Clone)]
 pub struct ModelTime(pub TimeModel);
@@ -124,65 +105,9 @@ impl TimeDomain for FixedPerEpoch {
     }
 }
 
-/// Prices epochs with the `cumf-gpu-sim` discrete-event executor: one
-/// throughput simulation (lazy, on the first epoch) yields a sustained
-/// updates/s including scheduler contention; each epoch then costs
-/// `updates ÷ updates_per_sec`.
-#[derive(Debug, Clone)]
-pub struct SimExecutorTime {
-    /// Simulated parallel workers.
-    pub workers: u32,
-    /// Total effective bandwidth, bytes/s.
-    pub total_bandwidth: f64,
-    /// Per-update cost model.
-    pub cost: SgdUpdateCost,
-    /// Scheduler model (the contention source).
-    pub scheduler: SchedulerModel,
-    ups: Option<f64>,
-}
-
-impl SimExecutorTime {
-    /// Builds the domain; the DES run happens on first use.
-    pub fn new(
-        workers: u32,
-        total_bandwidth: f64,
-        cost: SgdUpdateCost,
-        scheduler: SchedulerModel,
-    ) -> Self {
-        SimExecutorTime {
-            workers,
-            total_bandwidth,
-            cost,
-            scheduler,
-            ups: None,
-        }
-    }
-}
-
-impl TimeDomain for SimExecutorTime {
-    fn epoch_seconds(&mut self, outcome: &EpochOutcome, _workers: u32, _wall: f64) -> f64 {
-        if self.ups.is_none() {
-            let result = simulate_throughput(&ThroughputConfig {
-                workers: self.workers,
-                total_bandwidth: self.total_bandwidth,
-                cost: self.cost,
-                scheduler: self.scheduler,
-                total_updates: outcome.stats.updates.max(1),
-            });
-            self.ups = Some(result.updates_per_sec);
-        }
-        outcome.stats.updates as f64 / self.ups.expect("seeded above")
-    }
-
-    fn name(&self) -> &'static str {
-        "sim-executor"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumf_gpu_sim::TITAN_X_MAXWELL;
 
     fn outcome(updates: u64, rounds: u64, backend: Option<f64>) -> EpochOutcome {
         EpochOutcome {
@@ -215,30 +140,11 @@ mod tests {
     fn trivial_domains() {
         let o = outcome(10, 10, Some(2.5));
         assert_eq!(NoSimTime.epoch_seconds(&o, 4, 1.0), 0.0);
-        assert_eq!(WallClockTime.epoch_seconds(&o, 4, 1.0), 1.0);
         assert_eq!(BackendTime.epoch_seconds(&o, 4, 1.0), 2.5);
         assert_eq!(
             BackendTime.epoch_seconds(&outcome(10, 10, None), 4, 1.0),
             0.0
         );
         assert_eq!(FixedPerEpoch(0.25).epoch_seconds(&o, 4, 1.0), 0.25);
-    }
-
-    #[test]
-    fn sim_executor_time_is_proportional_to_updates() {
-        let workers = 64;
-        let mut domain = SimExecutorTime::new(
-            workers,
-            TITAN_X_MAXWELL.effective_bw(workers),
-            SgdUpdateCost::cumf(16),
-            SchedulerModel::BatchHogwild {
-                batch: 256,
-                per_batch_overhead_s: 50e-9,
-            },
-        );
-        let t1 = domain.epoch_seconds(&outcome(10_000, 160, None), workers, 0.0);
-        let t2 = domain.epoch_seconds(&outcome(20_000, 320, None), workers, 0.0);
-        assert!(t1 > 0.0);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9, "t2/t1 = {}", t2 / t1);
     }
 }

@@ -39,7 +39,7 @@
 //!   obs registry.
 
 use cumf_data::CooMatrix;
-use cumf_gpu_sim::{GpuSpec, LinkSpec, SgdUpdateCost};
+use cumf_gpu_sim::{GpuSpec, LinkSpec};
 use cumf_rng::{ChaCha8Rng, SeedableRng};
 
 use crate::engine::{
@@ -49,8 +49,7 @@ use crate::engine::{
 use crate::feature::{Element, FactorMatrix};
 use crate::metrics::Trace;
 use crate::model_io::ModelIoError;
-use crate::multi_gpu::{EpochTiming, MultiGpuConfig};
-use crate::partition::Grid;
+use crate::multi_gpu::{partitioned_setup, EpochTiming, MultiGpuConfig};
 use crate::solver::{train_resumable, CheckpointSpec, Scheme, SolverConfig, TrainResult};
 use crate::BiasTerms;
 
@@ -276,22 +275,9 @@ impl TrainSupervisor {
     ) -> Result<SupervisedResult<E>, TrainError> {
         validate_multi_gpu(train, config)?;
 
-        let grid = Grid::build(train, config.grid_i, config.grid_j);
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let mut model: EngineModel<E> = if config.bias {
-            EngineModel::init_biased(train, config.k, &mut rng)
-        } else {
-            EngineModel::init_unbiased(train, config.k, &mut rng)
-        };
-        let cost = SgdUpdateCost {
-            k: config.k,
-            precision: if E::BYTES == 2 {
-                cumf_gpu_sim::Precision::F16
-            } else {
-                cumf_gpu_sim::Precision::F32
-            },
-            rating_access: cumf_gpu_sim::RatingAccess::Streamed,
-        };
+        // Each epoch's backend reseeds per epoch, so the RNG left after
+        // the model's draws is not used.
+        let (grid, mut model, cost, _) = partitioned_setup::<E>(train, config);
 
         let snapshot_every = self.supervision.snapshot_every.max(1);
         let mut resume = ResumeState {

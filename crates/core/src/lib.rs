@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bias;
 pub mod concurrent;
 pub mod digest;
 pub mod engine;
@@ -72,7 +71,6 @@ pub mod sched;
 pub mod solver;
 pub mod stale;
 
-pub use bias::{train_biased, BiasedConfig, BiasedModel, BiasedResult};
 pub use concurrent::{AtomicFactors, EpochStats, ExecMode, DEFAULT_THREAD_BATCH};
 pub use engine::{
     BiasTerms, EngineModel, EpochBackend, EpochObserver, EpochPipeline, ExecEngine, PipelineRun,

@@ -25,13 +25,14 @@ use cumf_rng::ChaCha8Rng;
 use cumf_rng::SeedableRng;
 
 use cumf_data::CooMatrix;
-use cumf_gpu_sim::{GpuSpec, LinkSpec, SgdUpdateCost};
+use cumf_gpu_sim::{GpuSpec, LinkSpec, RatingAccess, SgdUpdateCost};
 
 use crate::engine::{
     BackendTime, BiasTerms, DivergenceGuard, EngineModel, EpochObserver, EpochPipeline,
     PartitionedBackend,
 };
 use crate::feature::{Element, FactorMatrix};
+use crate::kernel::precision_of;
 use crate::lrate::Schedule;
 use crate::metrics::Trace;
 use crate::partition::Grid;
@@ -123,6 +124,29 @@ pub struct MultiGpuResult<E: Element> {
     pub diverged: bool,
 }
 
+/// What every partitioned run starts from: the grid, the seeded initial
+/// model (biased when [`MultiGpuConfig::bias`] is set), the per-update
+/// cost at `E`'s precision, and the seed's RNG advanced past the model's
+/// draws.
+pub(crate) fn partitioned_setup<E: Element>(
+    train: &CooMatrix,
+    config: &MultiGpuConfig,
+) -> (Grid, EngineModel<E>, SgdUpdateCost, ChaCha8Rng) {
+    let grid = Grid::build(train, config.grid_i, config.grid_j);
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let model = if config.bias {
+        EngineModel::init_biased(train, config.k, &mut rng)
+    } else {
+        EngineModel::init_unbiased(train, config.k, &mut rng)
+    };
+    let cost = SgdUpdateCost {
+        k: config.k,
+        precision: precision_of::<E>(),
+        rating_access: RatingAccess::Streamed,
+    };
+    (grid, model, cost, rng)
+}
+
 /// Trains with the partitioned multi-GPU pipeline on the given (simulated)
 /// GPU and interconnect.
 pub fn train_partitioned<E: Element>(
@@ -147,23 +171,7 @@ pub fn train_partitioned<E: Element>(
             2 * config.gpus
         );
     }
-    let grid = Grid::build(train, config.grid_i, config.grid_j);
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut model: EngineModel<E> = if config.bias {
-        EngineModel::init_biased(train, config.k, &mut rng)
-    } else {
-        EngineModel::init_unbiased(train, config.k, &mut rng)
-    };
-
-    let cost = SgdUpdateCost {
-        k: config.k,
-        precision: if E::BYTES == 2 {
-            cumf_gpu_sim::Precision::F16
-        } else {
-            cumf_gpu_sim::Precision::F32
-        },
-        rating_access: cumf_gpu_sim::RatingAccess::Streamed,
-    };
+    let (grid, mut model, cost, rng) = partitioned_setup::<E>(train, config);
     let mut backend = PartitionedBackend::new(
         train,
         grid,
@@ -363,5 +371,36 @@ mod tests {
             "rmse {}",
             r.trace.final_rmse().unwrap()
         );
+    }
+
+    #[test]
+    fn biased_model_converges() {
+        // One block on one GPU: the biased model alone, on offset-heavy
+        // data (noise floor 0.1).
+        let d = generate(&SynthConfig {
+            m: 400,
+            n: 300,
+            k_true: 4,
+            train_samples: 25_000,
+            test_samples: 2_500,
+            noise_std: 0.1,
+            row_skew: 0.4,
+            col_skew: 0.4,
+            rating_offset: 3.5,
+            seed: 91,
+        });
+        let mut c = MultiGpuConfig::new(6, 1, 1, 1);
+        c.epochs = 20;
+        c.workers_per_gpu = 8;
+        c.batch = 256;
+        c.schedule = Schedule::NomadDecay {
+            alpha: 0.1,
+            beta: 0.1,
+        };
+        c.lambda = 0.02;
+        c.bias = true;
+        let r = train_partitioned::<f32>(&d.train, &d.test, &c, &TITAN_X_MAXWELL, &PCIE3_X16);
+        let final_rmse = r.trace.final_rmse().unwrap();
+        assert!(final_rmse < 0.2, "biased model rmse {final_rmse}");
     }
 }

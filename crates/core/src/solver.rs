@@ -374,13 +374,21 @@ impl RunInputs<'_> {
         EngineModel::init_unbiased(self.train, self.config.k, &mut rng)
     }
 
-    /// Loads a checkpoint to resume from, checking it fits the run.
+    /// Loads a checkpoint to resume from, checking it fits the run: a
+    /// bias-free model of the run's shape.
     fn load_checkpoint<E: Element>(
         &self,
         path: &std::path::Path,
     ) -> Result<(EngineModel<E>, ResumeState), ModelIoError> {
         let (train, k) = (self.train, self.config.k);
         let (model, state) = load_checkpoint::<E>(path)?;
+        if model.bias.is_some() {
+            return Err(ModelIoError::Format(
+                "checkpoint carries bias terms, but this solver trains the bias-free model \
+                 (biased runs train through multi_gpu::train_partitioned)"
+                    .into(),
+            ));
+        }
         if model.p.rows() != train.rows() || model.q.rows() != train.cols() || model.p.k() != k {
             return Err(ModelIoError::Format(format!(
                 "checkpoint shape {}x{} k={} does not match run {}x{} k={}",

@@ -1,13 +1,17 @@
 //! Failure injection: every documented error path across the workspace
 //! fires (and fires with the documented message), so misuse is loud.
 
+use cumf_sgd::core::engine::{save_checkpoint, ResumeState};
 use cumf_sgd::core::multi_gpu::{train_partitioned, MultiGpuConfig};
 use cumf_sgd::core::solver::{train, CheckpointSpec, Scheme, SolverConfig};
-use cumf_sgd::core::{FaultPlan, Schedule, SupervisorConfig, TrainError, TrainSupervisor};
+use cumf_sgd::core::{
+    EngineModel, FaultPlan, Schedule, SupervisorConfig, Trace, TrainError, TrainSupervisor,
+};
 use cumf_sgd::data::io::{read_binary, read_text, DataError};
 use cumf_sgd::data::synth::{generate, SynthConfig};
 use cumf_sgd::data::CooMatrix;
 use cumf_sgd::gpu_sim::{PCIE3_X16, TITAN_X_MAXWELL};
+use cumf_sgd::rng::{ChaCha8Rng, SeedableRng};
 use std::io::Cursor;
 
 fn catch<R>(f: impl FnOnce() -> R + std::panic::UnwindSafe) -> Option<String> {
@@ -174,34 +178,49 @@ fn supervisor_returns_typed_errors_where_partitioned_panics() {
 
 /// A corrupt `--resume` file through the supervisor front door is a typed
 /// `TrainError::Checkpoint` naming the problem, never a panic and never a
-/// silent fresh start.
+/// silent fresh start. So is a well-formed checkpoint of the biased model,
+/// which the bias-free solver cannot resume.
 #[test]
 fn supervisor_surfaces_corrupt_resume_checkpoint() {
     let d = small();
     let sup = supervisor();
     let dir = std::env::temp_dir().join("cumf_failure_injection");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("corrupt_resume.cmfk");
-    std::fs::write(&path, b"CMFKgarbage-that-is-not-a-checkpoint").unwrap();
+    let corrupt = dir.join("corrupt_resume.cmfk");
+    std::fs::write(&corrupt, b"CMFKgarbage-that-is-not-a-checkpoint").unwrap();
+    let biased = dir.join("biased_resume.cmfk");
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let model = EngineModel::<f32>::init_biased(&d.train, 4, &mut rng);
+    let state = ResumeState {
+        next_epoch: 1,
+        updates: 0,
+        sim_seconds: 0.0,
+        trace: Trace::default(),
+        lr: None,
+    };
+    save_checkpoint(&biased, &model, &state).unwrap();
     let mut cfg = SolverConfig::new(4, Scheme::Serial);
     cfg.epochs = 2;
-    let spec = CheckpointSpec {
-        path: path.clone(),
-        every: 1,
-        resume: true,
-    };
-    let err = sup
-        .train::<f32>(&d.train, &d.test, &cfg, None, Some(&spec))
-        .map(|_| ())
-        .unwrap_err();
-    match &err {
-        TrainError::Checkpoint(_) => {
-            use std::error::Error;
-            assert!(err.source().is_some(), "checkpoint errors carry a source");
+    for (path, needle) in [(&corrupt, "format error"), (&biased, "bias terms")] {
+        let spec = CheckpointSpec {
+            path: path.clone(),
+            every: 1,
+            resume: true,
+        };
+        let err = sup
+            .train::<f32>(&d.train, &d.test, &cfg, None, Some(&spec))
+            .map(|_| ())
+            .unwrap_err();
+        match &err {
+            TrainError::Checkpoint(_) => {
+                use std::error::Error;
+                assert!(err.source().is_some(), "checkpoint errors carry a source");
+                assert!(err.to_string().contains(needle), "{err}");
+            }
+            other => panic!("expected Checkpoint error, got {other}"),
         }
-        other => panic!("expected Checkpoint error, got {other}"),
+        let _ = std::fs::remove_file(path);
     }
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]
