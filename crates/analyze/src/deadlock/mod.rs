@@ -121,13 +121,6 @@ pub struct Protocol {
     pub retry: Option<RetrySpec>,
 }
 
-impl Protocol {
-    /// The class name for index `c` (for report lines and witnesses).
-    pub fn class_name(&self, c: usize) -> &str {
-        &self.classes[c].name
-    }
-}
-
 /// Why a protocol failed to certify.
 #[derive(Debug, Clone)]
 pub enum ProtocolWitness {

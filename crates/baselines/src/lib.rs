@@ -8,11 +8,7 @@
 //!   scheduling table and bold-driver learning rate;
 //! * [`nomad`] — NOMAD: decentralised distributed SGD with circulating
 //!   item ownership and a cluster network cost model;
-//! * [`nomad_threaded`] — the same architecture as a real message-passing
-//!   concurrent program (node threads + mpsc channels);
 //! * [`bidmach`] — BIDMach-style mini-batch SGD with ADAGRAD on GPU;
-//! * [`ccd`] — CCD++ cyclic coordinate descent (the paper's third
-//!   algorithm family, refs [60, 61]);
 //! * [`als`] — alternating least squares (the cuMF_ALS comparator), with
 //!   a from-scratch Cholesky solver in [`linalg`].
 
@@ -21,15 +17,11 @@
 
 pub mod als;
 pub mod bidmach;
-pub mod ccd;
 pub mod libmf;
 pub mod linalg;
 pub mod nomad;
-pub mod nomad_threaded;
 
 pub use als::{train_als, AlsConfig, AlsResult, AlsTimeModel};
 pub use bidmach::{train_bidmach, BidmachConfig, BidmachPerfModel, BidmachResult};
-pub use ccd::{ccd_epoch_seconds, train_ccd, CcdConfig, CcdResult};
 pub use libmf::{libmf_effective_bw, train_libmf, LibmfConfig, LibmfResult};
 pub use nomad::{train_nomad, NomadConfig, NomadPerfModel, NomadResult};
-pub use nomad_threaded::{train_nomad_threaded, NomadThreadedResult};

@@ -13,9 +13,9 @@
 //!   in waves of independent blocks, each block executed with the
 //!   stale-additive engine, timed by the transfer/compute pipeline model.
 //!
-//! Custom backends (the `baselines` crate's BIDMach mini-batch and CCD++
-//! sweeps) implement the same trait, which is how every solver in the
-//! workspace shares one epoch loop.
+//! A custom backend (the `baselines` crate's BIDMach mini-batch sweep)
+//! implements the same trait, which is how it shares the solver's epoch
+//! loop.
 
 use cumf_data::CooMatrix;
 use cumf_gpu_sim::pipeline::{overlapped, serial, BlockJob};

@@ -63,14 +63,12 @@ pub struct FaultyPartitionedBackend<'a, E: Element> {
     stall_timeout_s: f64,
     log: RecoveryLog,
     fatal: FatalFlag,
-    sim_seconds: f64,
 }
 
 impl<'a, E: Element> FaultyPartitionedBackend<'a, E> {
     /// Wraps `inner` with the given schedule. `consumed` carries one-shot
     /// state across supervisor rebuilds (pass `vec![false; plan.len()]`
-    /// for a fresh run); `sim_offset` seeds the backend's simulated clock
-    /// for sim-time triggers (the resume state's accumulated seconds).
+    /// for a fresh run).
     pub fn new(
         inner: PartitionedBackend<'a, E>,
         plan: FaultPlan,
@@ -78,7 +76,6 @@ impl<'a, E: Element> FaultyPartitionedBackend<'a, E> {
         retry: RetryPolicy,
         stall_timeout_s: f64,
         fatal: FatalFlag,
-        sim_offset: f64,
     ) -> Self {
         assert_eq!(
             consumed.len(),
@@ -93,7 +90,6 @@ impl<'a, E: Element> FaultyPartitionedBackend<'a, E> {
             stall_timeout_s,
             log: RecoveryLog::default(),
             fatal,
-            sim_seconds: sim_offset,
         }
     }
 
@@ -312,7 +308,7 @@ impl<E: Element> EpochBackend<E> for FaultyPartitionedBackend<'_, E> {
         // Collect the events due this epoch (one-shot: consumed events,
         // including those consumed before a rollback, never re-fire).
         let due: Vec<usize> = (0..self.plan.events.len())
-            .filter(|&i| !self.consumed[i] && self.plan.events[i].due(epoch, self.sim_seconds))
+            .filter(|&i| !self.consumed[i] && self.plan.events[i].due(epoch))
             .collect();
 
         let mut gamma = gamma;
@@ -366,7 +362,6 @@ impl<E: Element> EpochBackend<E> for FaultyPartitionedBackend<'_, E> {
                 t.transfer_seconds += extra_s;
             }
         }
-        self.sim_seconds += out.backend_seconds.unwrap_or(0.0);
         out
     }
 

@@ -8,9 +8,8 @@
 //! surfacing. This module makes those faults *first-class and seeded*:
 //!
 //! * [`FaultPlan`] — a deterministic schedule of [`FaultEvent`]s, placed by
-//!   epoch or by simulated time and optionally drawn from `cumf-rng`, so
-//!   the same seed always produces the same faults *and* the same recovery
-//!   story;
+//!   epoch and optionally drawn from `cumf-rng`, so the same seed always
+//!   produces the same faults *and* the same recovery story;
 //! * [`FaultyPartitionedBackend`] — an [`crate::engine::EpochBackend`]
 //!   decorator that injects transfer corruption/stalls (checksummed
 //!   hand-offs, DES timeout detection, bounded retry with exponential
@@ -122,35 +121,22 @@ impl FaultKind {
     }
 }
 
-/// When a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultTrigger {
-    /// Fires at the start of the given 0-based epoch.
-    Epoch(u32),
-    /// Fires at the first epoch whose start lies at or past this many
-    /// simulated seconds (the multi-GPU pipeline clock).
-    SimTime(f64),
-}
-
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
-    /// When the fault fires.
-    pub trigger: FaultTrigger,
+    /// The 0-based epoch at whose start the fault fires.
+    pub epoch: u32,
     /// What goes wrong.
     pub kind: FaultKind,
 }
 
 impl FaultEvent {
-    /// Whether the event is due at (or before) the given epoch / simulated
-    /// time. Events are one-shot: the caller tracks consumption, so `due`
-    /// uses `>=` and a consumed event never re-fires — which is what keeps
-    /// a rolled-back re-execution of the same epochs fault-free.
-    pub fn due(&self, epoch: u32, sim_seconds: f64) -> bool {
-        match self.trigger {
-            FaultTrigger::Epoch(e) => epoch >= e,
-            FaultTrigger::SimTime(t) => sim_seconds >= t,
-        }
+    /// Whether the event is due at (or before) the given epoch. Events are
+    /// one-shot: the caller tracks consumption, so `due` uses `>=` and a
+    /// consumed event never re-fires — which is what keeps a rolled-back
+    /// re-execution of the same epochs fault-free.
+    pub fn due(&self, epoch: u32) -> bool {
+        epoch >= self.epoch
     }
 }
 
@@ -169,20 +155,7 @@ impl FaultPlan {
 
     /// Schedules `kind` at the start of `epoch` (builder style).
     pub fn at_epoch(mut self, epoch: u32, kind: FaultKind) -> Self {
-        self.events.push(FaultEvent {
-            trigger: FaultTrigger::Epoch(epoch),
-            kind,
-        });
-        self
-    }
-
-    /// Schedules `kind` at the first epoch starting at or after
-    /// `sim_seconds` on the backend's simulated clock.
-    pub fn at_sim_time(mut self, sim_seconds: f64, kind: FaultKind) -> Self {
-        self.events.push(FaultEvent {
-            trigger: FaultTrigger::SimTime(sim_seconds),
-            kind,
-        });
+        self.events.push(FaultEvent { epoch, kind });
         self
     }
 
@@ -382,28 +355,19 @@ mod tests {
         assert_ne!(a.digest(), c.digest());
         assert_eq!(a.len(), 4);
         for e in &a.events {
-            match e.trigger {
-                FaultTrigger::Epoch(ep) => assert!((1..20).contains(&ep)),
-                FaultTrigger::SimTime(_) => panic!("seeded plans are epoch-scheduled"),
-            }
+            assert!((1..20).contains(&e.epoch));
         }
     }
 
     #[test]
     fn due_is_monotone_and_one_shot_by_consumption() {
         let e = FaultEvent {
-            trigger: FaultTrigger::Epoch(3),
+            epoch: 3,
             kind: FaultKind::NanStorm { rows: 1 },
         };
-        assert!(!e.due(2, 0.0));
-        assert!(e.due(3, 0.0));
-        assert!(e.due(7, 0.0), "due stays true; consumption gates refiring");
-        let t = FaultEvent {
-            trigger: FaultTrigger::SimTime(1.5),
-            kind: FaultKind::LrSpike { factor: 10.0 },
-        };
-        assert!(!t.due(0, 1.0));
-        assert!(t.due(0, 1.5));
+        assert!(!e.due(2));
+        assert!(e.due(3));
+        assert!(e.due(7), "due stays true; consumption gates refiring");
     }
 
     #[test]

@@ -307,7 +307,7 @@ impl TrainSupervisor {
             // Topology faults fire at the epoch boundary: they change the
             // machine, so the backend is rebuilt rather than decorated.
             for (event, seen) in self.plan.events.iter().zip(consumed.iter_mut()) {
-                if *seen || !event.due(epoch, resume.sim_seconds) {
+                if *seen || !event.due(epoch) {
                     continue;
                 }
                 let kind = event.kind;
@@ -397,7 +397,6 @@ impl TrainSupervisor {
                 self.supervision.retry,
                 self.supervision.stall_timeout_s,
                 fatal.clone(),
-                resume.sim_seconds,
             );
             let mut time = BackendTime;
             let mut guard = DivergenceGuard::new(config.divergence_ceiling).with_model_scan();

@@ -135,11 +135,6 @@ impl<E: Element> FactorMatrix<E> {
         self.data.len() * E::BYTES
     }
 
-    /// Converts the full matrix to f32 (for evaluation / export).
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        self.data.iter().map(|e| e.to_f32()).collect()
-    }
-
     /// Builds a matrix from an f32 slice (narrowing into E).
     pub fn from_f32_slice(rows: u32, k: u32, vals: &[f32]) -> Self {
         assert_eq!(vals.len(), rows as usize * k as usize, "shape mismatch");

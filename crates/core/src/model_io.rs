@@ -82,25 +82,23 @@ pub(crate) fn read_matrix<E: Element, R: Read>(
 ) -> Result<FactorMatrix<E>, ModelIoError> {
     let count = rows as usize * k as usize;
     let mut vals = Vec::with_capacity(count.min(1 << 20));
-    match E::BYTES {
-        2 => {
-            let mut buf = [0u8; 2];
-            for _ in 0..count {
+    for _ in 0..count {
+        let x = match E::BYTES {
+            2 => {
+                let mut buf = [0u8; 2];
                 r.read_exact(&mut buf)?;
-                vals.push(F16::from_bits(u16::from_le_bytes(buf)).to_f32());
+                F16::from_bits(u16::from_le_bytes(buf)).to_f32()
             }
-        }
-        _ => {
-            let mut buf = [0u8; 4];
-            for _ in 0..count {
+            _ => {
+                let mut buf = [0u8; 4];
                 r.read_exact(&mut buf)?;
-                let x = f32::from_le_bytes(buf);
-                if !x.is_finite() {
-                    return Err(ModelIoError::Format("non-finite factor value".into()));
-                }
-                vals.push(x);
+                f32::from_le_bytes(buf)
             }
+        };
+        if !x.is_finite() {
+            return Err(ModelIoError::Format("non-finite factor value".into()));
         }
+        vals.push(x);
     }
     Ok(FactorMatrix::from_f32_slice(rows, k, &vals))
 }
@@ -246,6 +244,23 @@ mod tests {
         buf[24..28].copy_from_slice(&f32::NAN.to_le_bytes());
         let err = load_model::<f32, _>(Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
+
+        // The same check holds after widening binary16: +Inf and a NaN.
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let m: Model<F16> = Model::new(
+            FactorMatrix::random_init(1, 1, &mut rng),
+            FactorMatrix::random_init(1, 1, &mut rng),
+        );
+        for bits in [0x7C00u16, 0x7E00] {
+            let mut buf = Vec::new();
+            save_model(&mut buf, &m).unwrap();
+            buf[24..26].copy_from_slice(&bits.to_le_bytes());
+            let err = load_model::<F16, _>(Cursor::new(buf)).unwrap_err();
+            assert!(
+                matches!(&err, ModelIoError::Format(msg) if msg.contains("non-finite")),
+                "{bits:#06x}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -188,26 +188,6 @@ impl Simulation {
         LockId(self.locks.len() - 1)
     }
 
-    /// Capacity of a link in bytes/second.
-    pub fn link_capacity(&self, link: LinkId) -> f64 {
-        self.links[link.0].capacity()
-    }
-
-    /// Number of transfers currently in flight on a link.
-    pub fn link_active_jobs(&self, link: LinkId) -> usize {
-        self.links[link.0].active_jobs()
-    }
-
-    /// Number of slots of a server.
-    pub fn server_capacity(&self, server: ServerId) -> usize {
-        self.servers[server.0].capacity()
-    }
-
-    /// Number of keys of a lock array.
-    pub fn lock_keys(&self, lock: LockId) -> usize {
-        self.locks[lock.0].keys()
-    }
-
     /// Exports the static resource graph of this simulation: one
     /// [`ResourceNode`] per registered server, link, and keyed-lock
     /// array, in registration order within each family.

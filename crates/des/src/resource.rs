@@ -194,10 +194,6 @@ impl SharedBandwidth {
         }
     }
 
-    pub(crate) fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Per-job rate under processor sharing.
     fn rate(&self) -> f64 {
         if self.jobs.is_empty() {
@@ -259,10 +255,6 @@ impl SharedBandwidth {
         });
         self.completed += done.len() as u64;
         done
-    }
-
-    pub(crate) fn active_jobs(&self) -> usize {
-        self.jobs.len()
     }
 }
 
@@ -383,7 +375,7 @@ mod tests {
         assert_eq!(l.next_completion_in(), Some(t(0.5)));
         l.update(t(2.0));
         assert_eq!(l.take_finished(), vec![pid(1)]);
-        assert_eq!(l.active_jobs(), 0);
+        assert!(l.jobs.is_empty());
         assert!((l.bytes_done - 200.0).abs() < 1e-6);
         assert!((l.busy_time - 2.0).abs() < 1e-12);
     }
