@@ -1,10 +1,11 @@
 //! Static deadlock & liveness certifier for every blocking protocol the
 //! workspace ships.
 //!
-//! The training executors in `cumf-core` are lock-free, so the
-//! workspace blocks in three places: the `TrainSupervisor` watchdog
-//! around faulted PCIe transfers, the serving read path's shard slots,
-//! and the DES resource configurations (`ServerId`/`LinkId`/`LockId`
+//! The racy training executors in `cumf-core` are lock-free, so the
+//! workspace blocks in four places: the block-DAG executor that runs
+//! certified wavefront/LIBMF epochs on OS threads, the `TrainSupervisor`
+//! watchdog around faulted PCIe transfers, the serving read path's shard
+//! slots, and the DES resource configurations (`ServerId`/`LinkId`/`LockId`
 //! with their `SmallDeque` waiter lists) that the GPU machine model and
 //! the bench pipeline instantiate. Each of those protocols is modelled
 //! here *statically* — no instrumentation, no execution of the real

@@ -7,7 +7,8 @@
 //! naming a resource the simulation no longer registers panics instead
 //! of silently certifying a stale topology. The supervisor and serve
 //! protocols take their numbers from the shipped configurations'
-//! liveness annotations.
+//! liveness annotations. The block-DAG protocol checks its premise —
+//! wait edges follow start rounds — on real block schedules.
 
 use super::{ClassSpec, Protocol, RetrySpec, SiteSpec, WatchdogSpec};
 use cumf_core::faults::SupervisorConfig;
@@ -250,6 +251,70 @@ fn serve_request(deadline_override: Option<f64>) -> Protocol {
     }
 }
 
+/// Checks the premise the block-DAG model rests on against real block
+/// schedules ([`crate::prover::for_each_block_schedule`]): every wait edge of
+/// `EpochBlocks::waits` points to a block that starts in an earlier round,
+/// so `(start round, worker)` order — the order executor threads claim
+/// blocks in — is a topological order of the waits, and the lowest
+/// unfinished block never waits. Panics on drift.
+fn check_block_waits_follow_start_rounds() {
+    crate::prover::for_each_block_schedule(|schedule, epoch, grid, blocks| {
+        for (i, waits) in blocks.waits(grid).iter().enumerate() {
+            let start = blocks.blocks()[i].start;
+            for &w in waits.iter().flatten() {
+                if w as usize >= i || blocks.blocks()[w as usize].end() > start {
+                    panic!(
+                        "{schedule} epoch {epoch}: block {i} waits on block {w}, which does \
+                         not finish before it starts — the static model drifted from the code"
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// The block DAG that runs certified wavefront/LIBMF epochs on OS threads.
+/// Its wait edges (a block waits for the previous block on its grid row
+/// and on its grid column) all point to earlier start rounds, which
+/// [`check_block_waits_follow_start_rounds`] checks on real schedules, so
+/// the completion waits cannot cycle. The locks come after those waits:
+/// a block takes its grid row's P piece, then its grid column's Q piece.
+/// By then no other running block shares either piece, so neither has
+/// waiters.
+fn block_dag() -> Protocol {
+    check_block_waits_follow_start_rounds();
+    let piece = |name: &str| ClassSpec {
+        name: name.to_string(),
+        anchor: "crates/core/src/engine/exec.rs::block_epoch".to_string(),
+        slots: 1,
+        hold_s: 1e-6,
+        max_waiters: 0,
+    };
+    let sites = vec![
+        entry(
+            0,
+            "crates/core/src/engine/exec.rs::run_block_dag",
+            "a block waits, holding nothing, until the previous blocks on its grid row and \
+             column finish, then takes its row's P piece",
+        ),
+        SiteSpec {
+            held: Some(0),
+            acquires: 1,
+            anchor: "crates/core/src/engine/exec.rs::run_block_dag".to_string(),
+            note: "holding its P piece, the block takes its column's Q piece: always row, \
+                   then column"
+                .to_string(),
+        },
+    ];
+    Protocol {
+        name: "block-dag",
+        classes: vec![piece("dag:P.row-piece"), piece("dag:Q.col-piece")],
+        sites,
+        watchdog: None,
+        retry: None,
+    }
+}
+
 /// Every blocking protocol the workspace ships; all must certify.
 pub fn shipped_protocols() -> Vec<Protocol> {
     vec![
@@ -258,6 +323,7 @@ pub fn shipped_protocols() -> Vec<Protocol> {
         des_bench_pipeline(),
         supervisor_transfer(None),
         serve_request(None),
+        block_dag(),
     ]
 }
 
@@ -393,8 +459,8 @@ mod tests {
     use cumf_core::Verdict;
 
     #[test]
-    fn ships_five_protocols_and_four_twins() {
-        assert_eq!(shipped_protocols().len(), 5);
+    fn ships_six_protocols_and_four_twins() {
+        assert_eq!(shipped_protocols().len(), 6);
         assert_eq!(broken_twins().len(), 4);
     }
 

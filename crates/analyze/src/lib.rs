@@ -18,7 +18,8 @@
 //!   wall-clock reads), with stale-allowlist detection.
 //! * [`deadlock`] — a static deadlock & liveness certifier: every
 //!   shipped blocking protocol (the supervisor watchdog, the serving
-//!   read path, the DES resource configurations) is modelled
+//!   read path, the DES resource configurations, the block DAG) is
+//!   modelled
 //!   in a small acquisition-order IR; a lock-order graph pass proves
 //!   acyclicity (topological certificate, cross-validated by the
 //!   interleaving checker) or emits a replayable cycle witness, and a
@@ -27,8 +28,9 @@
 //!   longest certified wait chain.
 //!
 //! * [`stale`] — a static staleness & asynchrony certifier: every
-//!   lock-free update path (`solver-hogwild`, the threaded
-//!   batch-Hogwild executor, the partitioned multi-GPU grid) is lifted
+//!   update path (`solver-hogwild`, the threaded batch-Hogwild
+//!   executor, the partitioned multi-GPU grid, the block DAG that runs
+//!   certified wavefront/LIBMF epochs) is lifted
 //!   from the `cumf_core::concurrent::UPDATE_PATHS` in-source
 //!   annotations into an asynchrony IR; the worst-case per-row staleness bound τ is
 //!   derived, exhaustively validated over all interleavings with the

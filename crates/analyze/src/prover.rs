@@ -11,7 +11,8 @@
 //! sample collides on a 1×1 matrix.
 
 use cumf_core::sched::{
-    certify, round_bound, BatchHogwildStream, ConflictVerdict, LibmfTableStream, WavefrontStream,
+    certify, round_bound, BatchHogwildStream, BlockGrid, ConflictVerdict, EpochBlocks,
+    LibmfTableStream, UpdateStream, WavefrontStream,
 };
 use cumf_core::Verdict;
 use cumf_data::coo::CooMatrix;
@@ -99,6 +100,30 @@ pub fn refute_batch_hogwild(workers: usize, batch: usize, samples: usize) -> Con
     }
     let mut stream = BatchHogwildStream::new(data.nnz(), workers, batch);
     certify(&data, &mut stream, 1, round_bound(&data, workers))
+}
+
+/// Calls `check(schedule, epoch, grid, blocks)` for three epochs each of
+/// the wavefront (3 workers × 8 columns) and LIBMF (3 workers, 4×4 table)
+/// block schedules over a dense 12×16 matrix: the real schedules the
+/// block-DAG models are checked against.
+pub fn for_each_block_schedule(mut check: impl FnMut(&str, u32, &BlockGrid, &EpochBlocks)) {
+    let mut coo = CooMatrix::new(12, 16);
+    for u in 0..12u32 {
+        for v in 0..16u32 {
+            coo.push(u, v, 1.0);
+        }
+    }
+    let streams: [Box<dyn UpdateStream>; 2] = [
+        Box::new(WavefrontStream::new(&coo, 3, 8, 0xB10C)),
+        Box::new(LibmfTableStream::new(&coo, 3, 4, 0xB10C)),
+    ];
+    for mut stream in streams {
+        for epoch in 0..3 {
+            stream.begin_epoch(epoch);
+            let (grid, blocks) = stream.blocks().expect("a block schedule");
+            check(stream.name(), epoch, grid, blocks);
+        }
+    }
 }
 
 /// The full prover campaign over randomized datasets derived from `seed`.

@@ -26,8 +26,10 @@ pub struct SanitizerCase {
     pub scenario: String,
     /// Number of racy locations reported.
     pub races: usize,
-    /// Rendered reports (empty when none).
-    pub reports: Vec<String>,
+    /// Racy locations per instrumentation site, by site name. Which
+    /// thread happened to empty a lockset varies from run to run; the
+    /// sites and counts do not, so only they are reported.
+    pub sites: Vec<(&'static str, usize)>,
 }
 
 impl SanitizerCase {
@@ -45,8 +47,8 @@ impl std::fmt::Display for SanitizerCase {
             "[{status}] {}: {} racy location(s), expected some",
             self.scenario, self.races,
         )?;
-        for r in self.reports.iter().take(3) {
-            write!(f, "\n    {r}")?;
+        for (site, count) in &self.sites {
+            write!(f, "\n    site {site}: {count} racy location(s)")?;
         }
         Ok(())
     }
@@ -76,8 +78,10 @@ fn collision_data(m: u32, n: u32, nnz: usize, seed: u64) -> CooMatrix {
 }
 
 /// Runs the lock-free batch-Hogwild! executor under the sanitizer on
-/// collision-heavy data. Expected: at least one empty lockset (retries a
-/// few epochs in case the scheduler serialized the tiny run).
+/// collision-heavy data. Expected: at least one empty lockset. Epochs
+/// repeat (up to five) until every factor row of P and Q has raced, so
+/// the count does not depend on how the OS happened to interleave one
+/// epoch.
 pub fn hogwild_scenario(seed: u64) -> SanitizerCase {
     let _gate = gate().lock().unwrap();
     let data = collision_data(2, 2, 50_000, seed);
@@ -89,21 +93,30 @@ pub fn hogwild_scenario(seed: u64) -> SanitizerCase {
 
     sanitize::set_enabled(true);
     let mut reports = Vec::new();
-    // One epoch virtually always suffices; retry in case the OS scheduler
+    // One epoch virtually always suffices; repeat in case the OS scheduler
     // let a single thread drain the whole counter.
+    let rows = (pm.rows() + qm.rows()) as usize;
     for _ in 0..5 {
         threaded_hogwild_epoch(&data, &p, &q, 4, 64, 0.01, 0.05);
-        reports = sanitize::take_reports();
-        if !reports.is_empty() {
+        reports.extend(sanitize::take_reports());
+        if reports.len() == rows {
             break;
         }
     }
     sanitize::set_enabled(false);
 
+    let mut sites: Vec<(&'static str, usize)> = Vec::new();
+    for r in &reports {
+        match sites.iter_mut().find(|(site, _)| *site == r.site) {
+            Some((_, count)) => *count += 1,
+            None => sites.push((r.site, 1)),
+        }
+    }
+    sites.sort_unstable();
     SanitizerCase {
         scenario: "batch-hogwild executor (4 threads, lock-free rows)".to_string(),
         races: reports.len(),
-        reports: reports.iter().map(|r| r.to_string()).collect(),
+        sites,
     }
 }
 

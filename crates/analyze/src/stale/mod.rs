@@ -18,7 +18,9 @@
 //!   does not reproduce). The partitioned path is additionally
 //!   cross-checked against a real [`cumf_core::partition::Grid`] wave
 //!   schedule: every concurrently-scheduled block pair must be Eq. 6
-//!   independent with disjoint row/column ranges.
+//!   independent with disjoint row/column ranges. The block-DAG path is
+//!   cross-checked the same way against real wavefront and LIBMF block
+//!   schedules.
 //! * [`certify_path`] computes τ from the IR, exhaustively
 //!   model-checks the claim with [`crate::mc::check`] (the invariant
 //!   "observed staleness ≤ τ" over *all* interleavings), and emits the
@@ -108,6 +110,18 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
                     claimed_tau: 0,
                 }
             }
+            "block-dag" => {
+                cross_check_block_schedules();
+                StaleModel {
+                    name: "block-dag",
+                    writers: 2,
+                    assignment: models::DISJOINT,
+                    updates_per_epoch: 2,
+                    epochs: 1,
+                    barrier: BarrierKind::None,
+                    claimed_tau: 0,
+                }
+            }
             other => drift(&format!(
                 "update path `{other}` is annotated in cumf_core::concurrent::UPDATE_PATHS \
                  but has no staleness model"
@@ -158,9 +172,9 @@ pub fn shipped_paths() -> Vec<ShippedPath> {
         }
         paths.push(ShippedPath { spec, model });
     }
-    if paths.len() < 3 {
+    if paths.len() < 4 {
         drift(&format!(
-            "only {} update paths are annotated; the workspace ships 3",
+            "only {} update paths are annotated; the workspace ships 4",
             paths.len()
         ));
     }
@@ -214,6 +228,30 @@ fn cross_check_grid_independence() {
             }
         }
     }
+}
+
+/// Validates the `block-dag` annotation against real block schedules
+/// ([`crate::prover::for_each_block_schedule`]): every pair of blocks
+/// that share a round must touch disjoint P-row and Q-column ranges —
+/// the property the `DisjointRows` footprint encodes.
+fn cross_check_block_schedules() {
+    crate::prover::for_each_block_schedule(|schedule, epoch, grid, blocks| {
+        let blocks = blocks.blocks();
+        let disjoint =
+            |x: std::ops::Range<u32>, y: std::ops::Range<u32>| x.end <= y.start || y.end <= x.start;
+        for (i, a) in blocks.iter().enumerate() {
+            for b in blocks[i + 1..].iter().take_while(|b| b.start < a.end()) {
+                let ((ra, ca), (rb, cb)) = (grid.cell_pos(a.cell), grid.cell_pos(b.cell));
+                if !disjoint(grid.row_range(ra), grid.row_range(rb))
+                    || !disjoint(grid.col_range(ca), grid.col_range(cb))
+                {
+                    drift(&format!(
+                        "{schedule} epoch {epoch} co-ran blocks {a:?} and {b:?} over shared rows"
+                    ));
+                }
+            }
+        }
+    });
 }
 
 /// A staleness refutation: the interleaving that drives a path's
@@ -377,13 +415,13 @@ mod tests {
         assert!(s
             .lines
             .iter()
-            .any(|l| l.contains("3 update paths certified, 3 broken twins refuted")));
+            .any(|l| l.contains("4 update paths certified, 3 broken twins refuted")));
     }
 
     #[test]
     fn every_shipped_path_is_certified_with_finite_tau() {
         let paths = shipped_paths();
-        assert_eq!(paths.len(), 3, "the workspace ships three update paths");
+        assert_eq!(paths.len(), 4, "the workspace ships four update paths");
         for p in paths {
             let tau = staleness_bound(&p.spec).expect("shipped τ must be finite");
             assert_eq!(tau, u64::from(p.model.claimed_tau));

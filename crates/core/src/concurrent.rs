@@ -18,15 +18,18 @@
 //! overshoot that makes Hogwild! diverge when `s` is *not* ≪ `min(m, n)`
 //! (§7.5). When no collision occurs, a round is exactly equivalent to
 //! sequential execution. Conflict-free policies (wavefront, LIBMF blocking)
-//! can run in the cheaper [`ExecMode::Sequential`] mode, which the engine
-//! verifies is collision-free as it goes.
+//! can run in the cheaper [`ExecMode::Sequential`] mode; the solver
+//! certifies each epoch of their block schedules and runs it block-major
+//! on OS threads ([`crate::engine::block_epoch`]), bit-identical to the
+//! sequential order.
 //!
 //! A real-thread executor ([`threaded_hogwild_epoch`]) racing lock-free
 //! on atomic f32 cells ([`AtomicFactors`]) backs [`ExecMode::Threaded`]
 //! and cross-validates the round engine on multi-core hosts. Every
-//! executor here is lock-free, as the paper's kernels are (§5.1
-//! batch-Hogwild!, §5.2 wavefront); [`UPDATE_PATHS`] declares their
-//! asynchrony shapes for the `cumf-analyze` staleness certifier.
+//! executor here is lock-free, as the paper's batch-Hogwild! kernel is
+//! (§5.1); the block-DAG executor blocks only between blocks, as the
+//! paper's wavefront column locks do (§5.2). [`UPDATE_PATHS`] declares
+//! their asynchrony shapes for the `cumf-analyze` staleness certifier.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -252,6 +255,17 @@ pub const UPDATE_PATHS: &[crate::stale::UpdatePathAnno] = &[
                row or column segment, so cross-writer row sets are \
                disjoint (τ = 0 across blocks)",
     },
+    crate::stale::UpdatePathAnno {
+        path: "block-dag",
+        footprint: crate::stale::Footprint::DisjointRows,
+        sync: crate::stale::SyncKind::GridIndependence,
+        anchor: "crates/core/src/engine/exec.rs::run_block_dag",
+        note: "certified wavefront/LIBMF epochs run block-major on OS \
+               threads: blocks that share rounds share no grid row or \
+               column, and each block waits for the previous block on \
+               its grid row and column, so no other writer touches a \
+               row between its read and its write (τ = 0)",
+    },
 ];
 
 #[cfg(test)]
@@ -288,7 +302,7 @@ mod tests {
         let data = tiny_data();
         let (mut p, mut q) = init(20, 20, 4);
         let mut stream = SerialStream::new(data.nnz());
-        let stats = sequential_epoch(&data, view(&mut p, &mut q), &mut stream, 0.05, 0.01, None);
+        let stats = sequential_epoch(&data, view(&mut p, &mut q), &mut stream, 0.05, 0.01);
         assert_eq!(stats.updates, 200);
         assert_eq!(stats.stalls, 0);
         assert_eq!(stats.rounds, 201); // +1 round to observe exhaustion
@@ -303,7 +317,7 @@ mod tests {
         let (mut p2, mut q2) = (p1.clone(), q1.clone());
         let mut s1 = SerialStream::new(data.nnz());
         let mut s2 = SerialStream::new(data.nnz());
-        sequential_epoch(&data, view(&mut p1, &mut q1), &mut s1, 0.05, 0.01, None);
+        sequential_epoch(&data, view(&mut p1, &mut q1), &mut s1, 0.05, 0.01);
         stale_additive_epoch(&data, view(&mut p2, &mut q2), &mut s2, 0.05, 0.01);
         for r in 0..20 {
             for (a, b) in p1.row(r).iter().zip(p2.row(r)) {

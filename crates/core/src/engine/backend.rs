@@ -6,9 +6,9 @@
 //!
 //! * [`StreamBackend`] — the single-device path: one [`UpdateStream`]
 //!   feeding one [`ExecEngine`] (the solver);
-//! * [`CertifyingBackend`] — the single-device path for a schedule that
-//!   claims conflict-freedom: sequential execution that proves the claim
-//!   as it runs;
+//! * [`CertifyingBackend`] — the single-device path for a block schedule
+//!   that claims conflict-freedom: each epoch is certified from its block
+//!   schedule, then run block-major on OS threads;
 //! * [`PartitionedBackend`] — §6's multi-GPU path: an i×j grid scheduled
 //!   in waves of independent blocks, each block executed with the
 //!   stale-additive engine, timed by the transfer/compute pipeline model.
@@ -26,10 +26,10 @@ use crate::concurrent::EpochStats;
 use crate::feature::Element;
 use crate::multi_gpu::EpochTiming;
 use crate::partition::{schedule_epoch, BlockId, Grid};
-use crate::sched::{BatchHogwildStream, Certifier, UpdateStream};
-use crate::SgdUpdateCost;
+use crate::sched::{Axis, BatchHogwildStream, Certifier, UpdateStream};
+use crate::{SgdUpdateCost, Verdict};
 
-use super::exec::{sequential_epoch, stale_additive_epoch, ExecEngine};
+use super::exec::{block_epoch, stale_additive_epoch, ExecEngine};
 use super::model::EngineModel;
 
 /// What one epoch produced: execution statistics plus, for backends with
@@ -125,25 +125,41 @@ impl<E: Element> EpochBackend<E> for StreamBackend<'_, E> {
     }
 }
 
-/// The single-device backend for a multi-worker schedule that claims
-/// conflict-freedom: [`sequential_epoch`] executes each epoch and feeds
-/// every round to a [`Certifier`], so the run proves its own schedule as
-/// it goes instead of replaying it first. Collect the certifier with
+/// The single-device backend for a multi-worker block schedule that
+/// claims conflict-freedom (wavefront, LIBMF's table): each epoch is
+/// certified from its block schedule by a [`Certifier`] and, once
+/// certified, run by [`block_epoch`] on up to `available_parallelism()`
+/// OS threads. An epoch whose blocks are overlap-free cannot collide, so
+/// its digest fold runs beside the execution. A refuted epoch is never
+/// executed: its outcome carries the schedule's rounds and stalls, no
+/// updates, and one collision on the witness's axis, which ends a
+/// speculative run. Collect the certifier with
 /// [`CertifyingBackend::into_certifier`] once the run ends.
 pub struct CertifyingBackend<'a> {
     data: &'a CooMatrix,
     stream: Box<dyn UpdateStream>,
     certifier: Certifier,
+    threads: usize,
 }
 
 impl<'a> CertifyingBackend<'a> {
     /// Builds the backend; `certifier` must already hold every epoch
     /// before the first one this backend will run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` has no block schedule.
     pub fn new(data: &'a CooMatrix, stream: Box<dyn UpdateStream>, certifier: Certifier) -> Self {
+        assert!(
+            stream.blocks().is_some(),
+            "schedule `{}` claims conflict-freedom but has no block schedule",
+            stream.name()
+        );
         CertifyingBackend {
             data,
             stream,
             certifier,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -162,15 +178,31 @@ impl<E: Element> EpochBackend<E> for CertifyingBackend<'_> {
         model: &mut EngineModel<E>,
     ) -> EpochOutcome {
         self.stream.begin_epoch(epoch);
-        self.certifier.begin_epoch(epoch);
-        let stats = sequential_epoch(
-            self.data,
-            model.view(),
-            self.stream.as_mut(),
-            gamma,
-            lambda,
-            Some(&mut self.certifier),
-        );
+        let (grid, blocks) = self.stream.blocks().expect("a block schedule");
+        let (data, threads, certifier) = (self.data, self.threads, &mut self.certifier);
+        let run = |model: &mut EngineModel<E>| {
+            block_epoch(data, model.view(), grid, blocks, gamma, lambda, threads)
+        };
+        let stats = if blocks.overlap_free(grid) {
+            std::thread::scope(|scope| {
+                let exec = scope.spawn(|| run(model));
+                certifier.certify_blocks(data, epoch, grid, blocks);
+                exec.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+        } else {
+            certifier.certify_blocks(data, epoch, grid, blocks);
+            match certifier.verdict() {
+                Verdict::Certified(_) => run(model),
+                Verdict::Refuted(w) => EpochStats {
+                    rounds: blocks.rounds(),
+                    stalls: blocks.stalls(),
+                    row_collisions: u64::from(matches!(w.axis, Axis::Row(_))),
+                    col_collisions: u64::from(matches!(w.axis, Axis::Col(_))),
+                    ..EpochStats::default()
+                },
+            }
+        };
         EpochOutcome::from_stats(stats)
     }
 
@@ -393,4 +425,74 @@ pub(crate) fn epoch_timing(
         worst.seconds += waves.len() as f64 * link.latency_s * gpus as f64;
     }
     EpochTiming { ..worst }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::exec::sequential_epoch;
+    use crate::half::F16;
+    use crate::sched::{certify, round_bound, LibmfTableStream, WavefrontStream};
+
+    /// Certified wavefront and LIBMF epochs leave P, Q, the epoch stats
+    /// and the certificate bit-identical on 1, 2 and 4 threads, and equal
+    /// to the per-sample sequential engine's P, Q and stats.
+    fn thread_count_is_invisible<E: Element>() {
+        let d = cumf_data::synth::generate(&cumf_data::synth::SynthConfig {
+            m: 120,
+            n: 150,
+            k_true: 4,
+            train_samples: 8_000,
+            test_samples: 10,
+            row_skew: 0.6,
+            col_skew: 0.6,
+            seed: 31,
+            ..Default::default()
+        });
+        let data = &d.train;
+        let streams: [&dyn Fn() -> Box<dyn UpdateStream>; 2] =
+            [&|| Box::new(WavefrontStream::new(data, 6, 12, 5)), &|| {
+                Box::new(LibmfTableStream::new(data, 4, 9, 5))
+            }];
+        for make in streams {
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let init: EngineModel<E> = EngineModel::init_unbiased(data, 8, &mut rng);
+            let (name, workers) = (make().name(), make().workers());
+            let bound = round_bound(data, workers);
+            let mut reference = init.clone();
+            let mut stream = make();
+            let reference_stats: Vec<EpochStats> = (0..4)
+                .map(|epoch| {
+                    stream.begin_epoch(epoch);
+                    sequential_epoch(data, reference.view(), stream.as_mut(), 0.05, 0.02)
+                })
+                .collect();
+            let replayed = certify(data, make().as_mut(), 4, bound);
+            assert!(replayed.is_certified(), "{name}: {replayed:?}");
+            for threads in [1, 2, 4] {
+                let mut model = init.clone();
+                let mut backend = CertifyingBackend {
+                    threads,
+                    ..CertifyingBackend::new(data, make(), Certifier::new(name, workers, bound))
+                };
+                let stats: Vec<EpochStats> = (0..4)
+                    .map(|epoch| {
+                        EpochBackend::<E>::run_epoch(&mut backend, epoch, 0.05, 0.02, &mut model)
+                            .stats
+                    })
+                    .collect();
+                let at = format!("{name} on {threads} threads");
+                assert_eq!(model.p.digest(), reference.p.digest(), "{at}");
+                assert_eq!(model.q.digest(), reference.q.digest(), "{at}");
+                assert_eq!(stats, reference_stats, "{at}");
+                assert_eq!(backend.into_certifier().verdict(), replayed, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_major_epochs_are_bit_identical_at_any_thread_count() {
+        thread_count_is_invisible::<f32>();
+        thread_count_is_invisible::<F16>();
+    }
 }

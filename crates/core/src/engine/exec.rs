@@ -5,23 +5,30 @@
 //!
 //! * [`SequentialEngine`] — apply each update immediately in worker order
 //!   (exact for conflict-free schedules);
+//! * [`block_epoch`] — a certified block schedule run block-major on OS
+//!   threads: each block waits for the previous block on its grid row and
+//!   on its grid column ([`run_block_dag`]), which keeps every P row's and
+//!   Q column's update order, so the result is bit-identical to
+//!   [`SequentialEngine`] at any thread count;
 //! * [`StaleAdditiveEngine`] — the round-based Hogwild! conflict engine
 //!   (snapshot reads, additive commits) of [`crate::concurrent`];
 //! * [`ThreadedHogwildEngine`] — real OS threads racing on atomic f32
 //!   cells (cross-validation on multi-core hosts).
 //!
-//! All three support the bias-free model; only the stale-additive engine
+//! All of them support the bias-free model; only the stale-additive engine
 //! also trains the biased model (`μ + b_u + b_v + p·q`), extending the
 //! same stale-read / additive-commit semantics to the bias cells.
 
-use std::sync::Arc;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 use cumf_data::CooMatrix;
 
 use crate::concurrent::{threaded_hogwild_epoch, AtomicFactors, EpochStats, ExecMode};
 use crate::feature::Element;
 use crate::kernel::{sgd_delta, sgd_update};
-use crate::sched::{Certifier, RoundClaims, StreamItem, UpdateStream};
+use crate::sched::{BlockGrid, EpochBlocks, RoundClaims, ScheduledBlock, StreamItem, UpdateStream};
 
 use super::model::ModelView;
 
@@ -70,7 +77,7 @@ impl<E: Element> ExecEngine<E> for SequentialEngine {
         gamma: f32,
         lambda: f32,
     ) -> EpochStats {
-        sequential_epoch(data, model, stream, gamma, lambda, None)
+        sequential_epoch(data, model, stream, gamma, lambda)
     }
 
     fn name(&self) -> &'static str {
@@ -137,26 +144,17 @@ pub fn engine_for<E: Element>(
 /// this engine checks the invariant as it goes: every sample claims its
 /// P row and Q column in the round's [`RoundClaims`], and rounds in which
 /// two workers touch the same row or column are counted in
-/// [`EpochStats::row_collisions`]/[`EpochStats::col_collisions`]. Handed a
-/// [`Certifier`] (already at [`Certifier::begin_epoch`] for this epoch),
-/// the engine runs that certifier's claim scan instead, feeding it every
-/// round in execution order: the certifier then proves the executed
-/// schedule exactly as [`crate::sched::certify`] would by replaying it,
-/// and enforces the prover's per-epoch round bound, so a deadlocking
-/// stream panics instead of spinning.
+/// [`EpochStats::row_collisions`]/[`EpochStats::col_collisions`].
 ///
 /// # Panics
 ///
-/// Panics when the view carries bias terms. With a certifier: if the
-/// stream schedules a sample out of `data`'s bounds, or an epoch exceeds
-/// the certifier's round bound.
+/// Panics when the view carries bias terms.
 pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
     data: &CooMatrix,
     model: ModelView<'_, E>,
     stream: &mut S,
     gamma: f32,
     lambda: f32,
-    mut certifier: Option<&mut Certifier>,
 ) -> EpochStats {
     assert!(
         model.bias.is_none(),
@@ -169,10 +167,7 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
     let mut claims = RoundClaims::with_capacity(s);
     while live > 0 {
         stats.rounds += 1;
-        match certifier.as_deref_mut() {
-            Some(c) => c.begin_round(),
-            None => claims.clear(),
-        }
+        claims.clear();
         let (mut row_collision, mut col_collision) = (false, false);
         for (w, done) in exhausted.iter_mut().enumerate() {
             if *done {
@@ -180,13 +175,8 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
             }
             match stream.next(w) {
                 StreamItem::Sample(i) => {
-                    let (e, clash) = match certifier.as_deref_mut() {
-                        Some(c) => c.claim(data, w, i),
-                        None => {
-                            let e = data.get(i);
-                            (e, claims.claim(w, i, e.u, e.v))
-                        }
-                    };
+                    let e = data.get(i);
+                    let clash = claims.claim(e.u, e.v);
                     row_collision |= clash.row.is_some();
                     col_collision |= clash.col.is_some();
                     // Split borrows: p and q are distinct matrices.
@@ -206,13 +196,239 @@ pub fn sequential_epoch<E: Element, S: UpdateStream + ?Sized>(
                 }
             }
         }
-        if let Some(c) = certifier.as_deref_mut() {
-            c.end_round();
-        }
         stats.row_collisions += u64::from(row_collision);
         stats.col_collisions += u64::from(col_collision);
     }
     stats
+}
+
+/// Rows `first..` of a factor matrix as one mutable slice: the piece of P
+/// under one grid row, or of Q under one grid column.
+struct Rows<'a, E> {
+    first: u32,
+    k: usize,
+    data: &'a mut [E],
+}
+
+impl<E> Rows<'_, E> {
+    #[inline]
+    fn row_mut(&mut self, r: u32) -> &mut [E] {
+        let at = (r - self.first) as usize * self.k;
+        &mut self.data[at..at + self.k]
+    }
+}
+
+/// Splits a row-major `k`-wide matrix at `bounds` (first row of each
+/// piece, then the row count).
+fn split_rows<'a, E>(mut data: &'a mut [E], bounds: &[u32], k: usize) -> Vec<Rows<'a, E>> {
+    bounds
+        .windows(2)
+        .map(|w| {
+            let (piece, rest) = std::mem::take(&mut data).split_at_mut((w[1] - w[0]) as usize * k);
+            data = rest;
+            Rows {
+                first: w[0],
+                k,
+                data: piece,
+            }
+        })
+        .collect()
+}
+
+/// One conflict-free epoch of a block schedule, bit-identical to
+/// [`sequential_epoch`] over the same schedule at any `threads`.
+///
+/// An epoch whose blocks are [overlap-free](EpochBlocks::overlap_free)
+/// runs block-major on up to `threads` OS threads (capped at the grid's
+/// row count; one thread runs inline): P is split at grid-row bounds and
+/// Q at grid-column bounds, and [`run_block_dag`] keeps every grid row's
+/// and column's blocks in round order, so every P row and Q column sees
+/// its updates in the order the round engine applies them. Each thread
+/// gathers a block's `(u, v, r)` into a reusable buffer before sweeping
+/// it. Any other conflict-free epoch runs inline, sample by sample in
+/// round-major order. The stats are the schedule's: its rounds, stalls
+/// and samples, and no collisions.
+///
+/// # Panics
+///
+/// Panics when the view carries bias terms.
+pub fn block_epoch<E: Element>(
+    data: &CooMatrix,
+    model: ModelView<'_, E>,
+    grid: &BlockGrid,
+    blocks: &EpochBlocks,
+    gamma: f32,
+    lambda: f32,
+    threads: usize,
+) -> EpochStats {
+    assert!(
+        model.bias.is_none(),
+        "the sequential engine does not support the biased model"
+    );
+    let stats = EpochStats {
+        updates: blocks.samples(),
+        rounds: blocks.rounds(),
+        stalls: blocks.stalls(),
+        ..EpochStats::default()
+    };
+    if !blocks.overlap_free(grid) {
+        let _ = blocks.round_major(grid, |_, _, i| {
+            let e = data.get(i as usize);
+            sgd_update(
+                model.p.row_mut(e.u),
+                model.q.row_mut(e.v),
+                e.r,
+                gamma,
+                lambda,
+            );
+            ControlFlow::Continue(())
+        });
+        return stats;
+    }
+    let k = model.p.k() as usize;
+    let rows = split_rows(model.p.as_mut_slice(), grid.row_bounds(), k);
+    let cols = split_rows(model.q.as_mut_slice(), grid.col_bounds(), k);
+    let (us, vs, rs) = (data.us(), data.vs(), data.rs());
+    run_block_dag(
+        grid,
+        blocks,
+        rows,
+        cols,
+        threads,
+        Vec::new,
+        |staged: &mut Vec<(u32, u32, f32)>, b, p, q| {
+            staged.clear();
+            staged.extend(grid.cell(b.cell).iter().map(|&i| {
+                let i = i as usize;
+                (us[i], vs[i], rs[i])
+            }));
+            for &(u, v, r) in staged.iter() {
+                sgd_update(p.row_mut(u), q.row_mut(v), r, gamma, lambda);
+            }
+        },
+    );
+    stats
+}
+
+/// Completion of the tasks of a [`run_block_dag`] run.
+struct Board {
+    /// Per task, whether it finished; then whether a task panicked.
+    state: Mutex<(Vec<bool>, bool)>,
+    changed: Condvar,
+}
+
+impl Board {
+    /// Blocks until every task in `waits` finished; false if a task
+    /// panicked instead.
+    fn wait_for(&self, waits: &[Option<u32>; 2]) -> bool {
+        let mut st = self.state.lock().expect("nothing panics holding the board");
+        loop {
+            if st.1 {
+                return false;
+            }
+            if waits.iter().flatten().all(|&t| st.0[t as usize]) {
+                return true;
+            }
+            st = self
+                .changed
+                .wait(st)
+                .expect("nothing panics holding the board");
+        }
+    }
+}
+
+/// Marks its task finished when dropped, or the run aborted when dropped
+/// by a panic, so no thread waits forever on a task that died.
+struct Finish<'a> {
+    board: &'a Board,
+    task: usize,
+}
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut st) = self.board.state.lock() {
+            if std::thread::panicking() {
+                st.1 = true;
+            } else {
+                st.0[self.task] = true;
+            }
+        }
+        self.board.changed.notify_all();
+    }
+}
+
+/// Runs `body` once for every block of `blocks`, on up to `threads` OS
+/// threads, handing it the block's grid-row piece from `rows` and its
+/// grid-column piece from `cols`.
+///
+/// A block waits for the previous block on its grid row and the previous
+/// block on its grid column ([`EpochBlocks::waits`]); threads claim
+/// blocks in `(start round, worker)` order, which is a topological order
+/// of those waits, so the lowest unfinished block can always run and the
+/// run cannot deadlock. Each piece sits in its own [`Mutex`]: a block
+/// holds its row piece, then its column piece, while `body` runs. With
+/// one thread the blocks run inline, in order. `state` builds each
+/// thread's scratch state.
+pub fn run_block_dag<P: Send, Q: Send, S>(
+    grid: &BlockGrid,
+    blocks: &EpochBlocks,
+    mut rows: Vec<P>,
+    mut cols: Vec<Q>,
+    threads: usize,
+    state: impl Fn() -> S + Sync,
+    body: impl Fn(&mut S, &ScheduledBlock, &mut P, &mut Q) + Sync,
+) {
+    let tasks = blocks.blocks();
+    let threads = threads.clamp(1, grid.rows() as usize);
+    if threads == 1 {
+        let mut scratch = state();
+        for b in tasks {
+            let (r, c) = grid.cell_pos(b.cell);
+            body(
+                &mut scratch,
+                b,
+                &mut rows[r as usize],
+                &mut cols[c as usize],
+            );
+        }
+        return;
+    }
+    let waits = blocks.waits(grid);
+    let rows: Vec<Mutex<P>> = rows.into_iter().map(Mutex::new).collect();
+    let cols: Vec<Mutex<Q>> = cols.into_iter().map(Mutex::new).collect();
+    let board = Board {
+        state: Mutex::new((vec![false; tasks.len()], false)),
+        changed: Condvar::new(),
+    };
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut scratch = state();
+                loop {
+                    // A claim publishes nothing: completions go through
+                    // `board`'s mutex, pieces through their own.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(b) = tasks.get(i) else { break };
+                    if !board.wait_for(&waits[i]) {
+                        break;
+                    }
+                    let _finish = Finish {
+                        board: &board,
+                        task: i,
+                    };
+                    let (r, c) = grid.cell_pos(b.cell);
+                    let mut p = rows[r as usize]
+                        .lock()
+                        .expect("a block panicked holding this row piece");
+                    let mut q = cols[c as usize]
+                        .lock()
+                        .expect("a block panicked holding this column piece");
+                    body(&mut scratch, b, &mut p, &mut q);
+                }
+            });
+        }
+    });
 }
 
 /// One epoch of round-snapshot reads + additive commits (the Hogwild!
@@ -260,7 +476,7 @@ pub fn stale_additive_epoch<E: Element, S: UpdateStream + ?Sized>(
             match stream.next(w) {
                 StreamItem::Sample(i) => {
                     let e = data.get(i);
-                    let clash = claims.claim(w, i, e.u, e.v);
+                    let clash = claims.claim(e.u, e.v);
                     row_collision |= clash.row.is_some();
                     col_collision |= clash.col.is_some();
                     round.push((e.u, e.v));
@@ -496,7 +712,7 @@ mod tests {
         let (mut a, mut b) = (init.clone(), init);
         let mut s1 = BatchHogwildStream::new(d.train.nnz(), 8, 16);
         let mut s2 = BatchHogwildStream::new(d.train.nnz(), 8, 16);
-        let seq = sequential_epoch(&d.train, a.view(), &mut s1, 0.03, 0.02, None);
+        let seq = sequential_epoch(&d.train, a.view(), &mut s1, 0.03, 0.02);
         let stale = stale_additive_epoch(&d.train, b.view(), &mut s2, 0.03, 0.02);
         assert_eq!(seq.rounds, stale.rounds);
         assert!((1..seq.rounds).contains(&seq.row_collisions));
@@ -563,7 +779,7 @@ mod tests {
         let mut s2 = SerialStream::new(data.nnz());
         let mut engine = engine_for::<f32>(ExecMode::Sequential, 1, 1);
         engine.run_epoch(&data, m1.view(), &mut s1, 0.05, 0.01);
-        sequential_epoch(&data, m2.view(), &mut s2, 0.05, 0.01, None);
+        sequential_epoch(&data, m2.view(), &mut s2, 0.05, 0.01);
         assert_eq!(m1.p, m2.p);
         assert_eq!(m1.q, m2.q);
     }

@@ -130,6 +130,11 @@ impl<E: Element> FactorMatrix<E> {
         &self.data
     }
 
+    /// Raw mutable element slice (row-major).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [E] {
+        &mut self.data
+    }
+
     /// Total storage bytes — what a staging transfer of this matrix costs.
     pub fn storage_bytes(&self) -> usize {
         self.data.len() * E::BYTES

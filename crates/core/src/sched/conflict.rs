@@ -19,27 +19,37 @@
 //!   (epoch, round, worker pair, shared row/column, sample indices).
 //!
 //! The prover is incremental: a [`Certifier`] holds the per-round claim
-//! scan, the first witness and the digest fold, and is fed one sample at
-//! a time. [`certify`] feeds it by replaying a stream on its own;
-//! [`crate::engine::sequential_epoch`] feeds it while executing the very
-//! same rounds. [`crate::solver::train_resumable`] uses the latter: a
-//! multi-worker schedule that claims conflict-freedom runs under
-//! [`ExecMode::Sequential`] and is certified as it executes (epochs the
-//! run skips — a resume prefix, the tail after a divergence stop — are
-//! replayed into the same certifier), so the verdict equals [`certify`]'s
-//! bit for bit. A schedule that claims conflict-freedom but produces a
-//! witness is not silently serialised: the solver discards the
-//! speculative run and reruns the whole budget on the stale-additive
+//! scan, the first witness and the digest fold, and is fed epoch by
+//! epoch. [`certify`] feeds it by replaying a stream round by round
+//! ([`Certifier::drive`]). The blocking policies (wavefront, LIBMF's
+//! table) also expose each epoch as a block schedule, and
+//! [`Certifier::certify_blocks`] certifies that directly: an epoch in
+//! which no two blocks that share rounds share a grid row or column cannot
+//! collide, so its samples are folded into the digest with no claim scan;
+//! any other epoch gets the per-sample scan in the same round-major order.
+//! Both paths reach [`certify`]'s verdict bit for bit.
+//!
+//! [`crate::solver::train_resumable`] certifies a multi-worker block
+//! schedule that claims conflict-freedom epoch by epoch on the
+//! [`crate::engine::CertifyingBackend`]: a certified epoch runs
+//! block-major on OS threads while its digest is folded, a refuted epoch
+//! never runs (epochs the run skips — a resume prefix, the tail after a
+//! divergence stop — are replayed into the same certifier), so the
+//! verdict equals [`certify`]'s. A schedule that claims conflict-freedom
+//! but produces a witness is not silently serialised: the solver discards
+//! the speculative run and reruns the whole budget on the stale-additive
 //! conflict engine. [`resolve_exec_mode`] is the replay-first form of the
 //! same decision.
 
-use cumf_data::{CooMatrix, Entry};
+use std::ops::ControlFlow;
+
+use cumf_data::CooMatrix;
 
 use crate::concurrent::ExecMode;
 use crate::digest::Fnv1a;
 use crate::Verdict;
 
-use super::{StreamItem, UpdateStream};
+use super::{BlockGrid, EpochBlocks, StreamItem, UpdateStream};
 
 /// Which factor-matrix axis two workers collided on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,24 +168,23 @@ pub type ConflictVerdict = Verdict<ConflictCert, ConflictWitness>;
 /// One round's claims on P rows and Q columns, in the order workers
 /// took their samples.
 ///
-/// A round holds at most one sample per worker, so the claims are three
+/// A round holds at most one sample per worker, so the claims are two
 /// short parallel vectors and a linear scan beats hashing or sorting.
 #[derive(Debug, Clone, Default)]
 pub struct RoundClaims {
     rows: Vec<u32>,
     cols: Vec<u32>,
-    /// `(worker, sample)` of each claim.
-    owners: Vec<(usize, usize)>,
 }
 
-/// The earlier claims a new sample collided with in its round, as the
-/// `(worker, sample)` that first took the same P row and Q column.
+/// The earlier claims a new sample collided with in its round: the
+/// position, in claim order, of the first earlier claim on the sample's
+/// P row and on its Q column.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Clash {
     /// First earlier claim on the sample's P row.
-    pub row: Option<(usize, usize)>,
+    pub row: Option<usize>,
     /// First earlier claim on the sample's Q column.
-    pub col: Option<(usize, usize)>,
+    pub col: Option<usize>,
 }
 
 impl RoundClaims {
@@ -184,7 +193,6 @@ impl RoundClaims {
         RoundClaims {
             rows: Vec::with_capacity(workers),
             cols: Vec::with_capacity(workers),
-            owners: Vec::with_capacity(workers),
         }
     }
 
@@ -192,41 +200,29 @@ impl RoundClaims {
     pub fn clear(&mut self) {
         self.rows.clear();
         self.cols.clear();
-        self.owners.clear();
     }
 
-    /// Records that `worker` updates `sample`, touching P row `u` and Q
-    /// column `v`, and reports what it collided with.
+    /// Records a sample touching P row `u` and Q column `v`, and reports
+    /// what it collided with.
     #[inline]
-    pub fn claim(&mut self, worker: usize, sample: usize, u: u32, v: u32) -> Clash {
-        let row = self
-            .rows
-            .iter()
-            .position(|&r| r == u)
-            .map(|j| self.owners[j]);
-        let col = self
-            .cols
-            .iter()
-            .position(|&c| c == v)
-            .map(|j| self.owners[j]);
+    pub fn claim(&mut self, u: u32, v: u32) -> Clash {
+        let row = self.rows.iter().position(|&r| r == u);
+        let col = self.cols.iter().position(|&c| c == v);
         self.rows.push(u);
         self.cols.push(v);
-        self.owners.push((worker, sample));
         Clash { row, col }
     }
 }
 
-/// The prover, fed one sample at a time: the per-round claim scan, the
-/// first [`ConflictWitness`], and the FNV-1a fold of every
-/// `(epoch, round, worker, sample)` into the schedule digest.
+/// The prover: the per-round claim scan, the first [`ConflictWitness`],
+/// and the FNV-1a fold of every `(epoch, round, worker, sample)` into the
+/// schedule digest.
 ///
-/// Whoever drives the schedule calls [`Certifier::begin_epoch`] before
-/// each epoch, [`Certifier::begin_round`] before each round,
-/// [`Certifier::claim`] for every scheduled sample in worker order, and
-/// [`Certifier::end_round`] after each round. [`Certifier::drive`] does
-/// this for a stream on its own (the replay [`certify`] runs);
-/// [`crate::engine::sequential_epoch`] does it while executing the
-/// updates. Epochs must be fed in ascending order: the digest is a fold.
+/// It is fed epoch by epoch, in ascending order (the digest is a fold),
+/// either round by round from [`UpdateStream::next`]
+/// ([`Certifier::drive`], the replay [`certify`] runs) or from an epoch's
+/// block schedule ([`Certifier::certify_blocks`], what the solver runs
+/// beside execution). Both reach the same verdict bit for bit.
 #[derive(Debug, Clone)]
 pub struct Certifier {
     /// Counts so far; the certificate once all epochs are in.
@@ -234,6 +230,8 @@ pub struct Certifier {
     digest: Fnv1a,
     max_rounds_per_epoch: u64,
     claims: RoundClaims,
+    /// `(worker, sample)` of each claim in `claims`.
+    owners: Vec<(usize, usize)>,
     witness: Option<ConflictWitness>,
     epoch: u32,
     round: u64,
@@ -251,46 +249,41 @@ impl Certifier {
             digest: Fnv1a::new(),
             max_rounds_per_epoch,
             claims: RoundClaims::with_capacity(workers),
+            owners: Vec::with_capacity(workers),
             witness: None,
             epoch: 0,
             round: 0,
         }
     }
 
-    /// Starts epoch `epoch`.
-    pub fn begin_epoch(&mut self, epoch: u32) {
+    fn begin_epoch(&mut self, epoch: u32) {
         self.cert.epochs_checked += 1;
         self.epoch = epoch;
         self.round = 0;
     }
 
-    /// Starts the next round of the current epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the epoch already ran `max_rounds_per_epoch` rounds (a
+    /// Panics when an epoch of `rounds` rounds breaks the round bound (a
     /// scheduling deadlock).
-    #[inline]
-    pub fn begin_round(&mut self) {
+    fn check_rounds(&self, rounds: u64) {
         assert!(
-            self.round < self.max_rounds_per_epoch,
+            rounds <= self.max_rounds_per_epoch,
             "schedule `{}` did not exhaust within {} rounds (scheduling deadlock?)",
             self.cert.schedule,
             self.max_rounds_per_epoch
         );
+    }
+
+    fn begin_round(&mut self) {
+        self.check_rounds(self.round + 1);
         self.claims.clear();
+        self.owners.clear();
     }
 
     /// Checks that `worker`'s `sample` of the current round shares no P
-    /// row or Q column with an earlier sample of the round, and returns
-    /// the sample's entry with what it collided with. The first
-    /// collision becomes the witness; later ones are only reported.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample` is out of `data`'s bounds.
-    #[inline]
-    pub fn claim(&mut self, data: &CooMatrix, worker: usize, sample: usize) -> (Entry, Clash) {
+    /// row or Q column with an earlier sample of the round. The first
+    /// collision becomes the witness; until then every sample is folded
+    /// into the digest.
+    fn claim(&mut self, data: &CooMatrix, worker: usize, sample: usize) {
         let nnz = data.nnz();
         assert!(
             sample < nnz,
@@ -298,42 +291,45 @@ impl Certifier {
             self.cert.schedule
         );
         let e = data.get(sample);
-        let clash = self.claims.claim(worker, sample, e.u, e.v);
-        if self.witness.is_none() {
-            let first = match clash {
-                Clash { row: Some(a), .. } => Some((a, Axis::Row(e.u))),
-                Clash { col: Some(a), .. } => Some((a, Axis::Col(e.v))),
-                _ => None,
-            };
-            match first {
-                Some(((worker_a, sample_a), axis)) => {
-                    self.witness = Some(ConflictWitness {
-                        epoch: self.epoch,
-                        round: self.round,
-                        worker_a,
-                        worker_b: worker,
-                        sample_a,
-                        sample_b: sample,
-                        axis,
-                    });
-                }
-                None => {
-                    self.cert.samples += 1;
-                    self.digest = self
-                        .digest
-                        .u64(u64::from(self.epoch))
-                        .u64(self.round)
-                        .u64(worker as u64)
-                        .u64(sample as u64);
-                }
-            }
+        let clash = self.claims.claim(e.u, e.v);
+        self.owners.push((worker, sample));
+        if self.witness.is_some() {
+            return;
         }
-        (e, clash)
+        let first = match clash {
+            Clash { row: Some(j), .. } => Some((j, Axis::Row(e.u))),
+            Clash { col: Some(j), .. } => Some((j, Axis::Col(e.v))),
+            _ => None,
+        };
+        match first {
+            Some((j, axis)) => {
+                let (worker_a, sample_a) = self.owners[j];
+                self.witness = Some(ConflictWitness {
+                    epoch: self.epoch,
+                    round: self.round,
+                    worker_a,
+                    worker_b: worker,
+                    sample_a,
+                    sample_b: sample,
+                    axis,
+                });
+            }
+            None => self.fold(worker, sample),
+        }
     }
 
-    /// Ends the current round.
     #[inline]
-    pub fn end_round(&mut self) {
+    fn fold(&mut self, worker: usize, sample: usize) {
+        self.cert.samples += 1;
+        self.digest = self
+            .digest
+            .u64(u64::from(self.epoch))
+            .u64(self.round)
+            .u64(worker as u64)
+            .u64(sample as u64);
+    }
+
+    fn end_round(&mut self) {
         self.round += 1;
         self.cert.rounds += 1;
     }
@@ -382,6 +378,66 @@ impl Certifier {
                 self.end_round();
             }
         }
+    }
+
+    /// Certifies epoch `epoch` from its block schedule over `grid`, with
+    /// the verdict [`Certifier::drive`] reaches replaying it round by
+    /// round. An epoch whose blocks are
+    /// [overlap-free](EpochBlocks::overlap_free) cannot collide, so its
+    /// samples are folded into the digest in round-major order with no
+    /// claim scan; any other epoch runs the per-sample claim scan in the
+    /// same order, so its witness is the one the replay finds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the epoch exceeds the round bound, or (through the claim
+    /// scan) schedules a sample out of `data`'s bounds.
+    pub fn certify_blocks(
+        &mut self,
+        data: &CooMatrix,
+        epoch: u32,
+        grid: &BlockGrid,
+        blocks: &EpochBlocks,
+    ) {
+        self.begin_epoch(epoch);
+        if !blocks.overlap_free(grid) {
+            return self.scan_blocks(data, grid, blocks);
+        }
+        let rounds = blocks.rounds();
+        self.check_rounds(rounds);
+        let _ = blocks.round_major(grid, |round, worker, sample| {
+            self.round = round;
+            self.fold(worker, sample as usize);
+            ControlFlow::Continue(())
+        });
+        self.cert.rounds += rounds;
+    }
+
+    /// The per-sample claim scan over a block schedule, round by round
+    /// (empty rounds included), stopping at the first witness.
+    fn scan_blocks(&mut self, data: &CooMatrix, grid: &BlockGrid, blocks: &EpochBlocks) {
+        self.begin_round();
+        let flow = blocks.round_major(grid, |round, worker, sample| {
+            while self.round < round {
+                self.end_round();
+                self.begin_round();
+            }
+            self.claim(data, worker, sample as usize);
+            if self.is_refuted() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        if flow.is_break() {
+            return;
+        }
+        let rounds = blocks.rounds();
+        while self.round + 1 < rounds {
+            self.end_round();
+            self.begin_round();
+        }
+        self.end_round();
     }
 
     /// The verdict over every epoch fed so far: the first witness, or the

@@ -10,6 +10,14 @@
 //! This stream reproduces LIBMF's *semantics* (what gets updated when);
 //! the *cost* of the critical section is modelled separately by
 //! `cumf_gpu_sim::SchedulerModel::GlobalTable`.
+//!
+//! [`UpdateStream::begin_epoch`] computes the epoch at block granularity
+//! ([`super::blocks`]): the table is searched only when a worker finishes
+//! a block or a release may have freed one for a stalled worker, in the
+//! lockstep order the round engines call workers, so the search draws the
+//! same randomness in the same order. [`UpdateStream::next`] replays the
+//! schedule sample by sample; [`UpdateStream::blocks`] hands it to the
+//! block-major executor.
 
 use cumf_rng::seq::SliceRandom;
 use cumf_rng::ChaCha8Rng;
@@ -17,6 +25,7 @@ use cumf_rng::SeedableRng;
 
 use cumf_data::CooMatrix;
 
+use super::blocks::{schedule, BlockGrid, BlockPolicy, Claim, EpochBlocks, Replay};
 use super::{StreamItem, UpdateStream};
 
 /// LIBMF-style global-table block scheduling over an a×a grid.
@@ -24,16 +33,57 @@ use super::{StreamItem, UpdateStream};
 pub struct LibmfTableStream {
     workers: usize,
     a: usize,
-    /// blocks[bi * a + bj] = sample indices of block (bi, bj).
-    blocks: Vec<Vec<usize>>,
+    /// Cell `bi * a + bj` holds the samples of block (bi, bj).
+    grid: BlockGrid,
+    /// The current epoch's blocks.
+    epoch: EpochBlocks,
+    replay: Replay,
+    seed: u64,
+}
+
+/// One epoch of the global table: busy block-rows and block-columns,
+/// processed blocks, and the randomness of the table search.
+struct Table {
+    a: usize,
     row_busy: Vec<bool>,
     col_busy: Vec<bool>,
     processed: Vec<bool>,
     remaining: usize,
-    /// Per-worker: currently held block and cursor.
-    state: Vec<Option<(usize, usize)>>,
     rng: ChaCha8Rng,
-    seed: u64,
+    candidates: Vec<usize>,
+}
+
+impl BlockPolicy for Table {
+    fn claim(&mut self, _worker: usize) -> Claim {
+        if self.remaining == 0 {
+            return Claim::Done;
+        }
+        // The table search: all unprocessed blocks whose row and column are
+        // free. LIBMF scans the whole table under the lock (O(a²)).
+        let a = self.a;
+        self.candidates.clear();
+        self.candidates.extend(
+            (0..a * a)
+                .filter(|&b| !self.processed[b] && !self.row_busy[b / a] && !self.col_busy[b % a]),
+        );
+        self.candidates.shuffle(&mut self.rng);
+        match self.candidates.first() {
+            Some(&b) => {
+                self.row_busy[b / a] = true;
+                self.col_busy[b % a] = true;
+                Claim::Cell(b as u32)
+            }
+            None => Claim::Wait,
+        }
+    }
+
+    fn release(&mut self, _worker: usize, cell: u32) {
+        let b = cell as usize;
+        self.row_busy[b / self.a] = false;
+        self.col_busy[b % self.a] = false;
+        self.processed[b] = true;
+        self.remaining -= 1;
+    }
 }
 
 impl LibmfTableStream {
@@ -44,54 +94,16 @@ impl LibmfTableStream {
         let m = data.rows() as usize;
         let n = data.cols() as usize;
         assert!(a <= m && a <= n, "grid {a} exceeds matrix {m}x{n}");
-        let mut blocks = vec![Vec::new(); a * a];
-        for (i, e) in data.iter().enumerate() {
-            let bi = (e.u as usize * a / m).min(a - 1);
-            let bj = (e.v as usize * a / n).min(a - 1);
-            blocks[bi * a + bj].push(i);
-        }
         let mut s = LibmfTableStream {
             workers,
             a,
-            blocks,
-            row_busy: vec![false; a],
-            col_busy: vec![false; a],
-            processed: vec![false; a * a],
-            remaining: a * a,
-            state: vec![None; workers],
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            grid: BlockGrid::build(data, a, a),
+            epoch: EpochBlocks::default(),
+            replay: Replay::default(),
             seed,
         };
         s.begin_epoch(0);
         s
-    }
-
-    /// Attempts to claim a random free independent block for a worker.
-    fn claim(&mut self) -> Option<usize> {
-        // The table search: all unprocessed blocks whose row and column are
-        // free. LIBMF scans the whole table under the lock (O(a²)).
-        let mut candidates: Vec<usize> = (0..self.blocks.len())
-            .filter(|&b| {
-                !self.processed[b] && !self.row_busy[b / self.a] && !self.col_busy[b % self.a]
-            })
-            .collect();
-        candidates.shuffle(&mut self.rng);
-        let b = candidates.first().copied()?;
-        self.row_busy[b / self.a] = true;
-        self.col_busy[b % self.a] = true;
-        Some(b)
-    }
-
-    fn release(&mut self, b: usize) {
-        self.row_busy[b / self.a] = false;
-        self.col_busy[b % self.a] = false;
-        self.processed[b] = true;
-        self.remaining -= 1;
-    }
-
-    /// Number of blocks not yet processed this epoch.
-    pub fn remaining_blocks(&self) -> usize {
-        self.remaining
     }
 }
 
@@ -101,51 +113,194 @@ impl UpdateStream for LibmfTableStream {
     }
 
     fn next(&mut self, w: usize) -> StreamItem {
-        loop {
-            match self.state[w] {
-                Some((b, cursor)) => {
-                    if cursor < self.blocks[b].len() {
-                        self.state[w] = Some((b, cursor + 1));
-                        return StreamItem::Sample(self.blocks[b][cursor]);
-                    }
-                    self.release(b);
-                    self.state[w] = None;
-                }
-                None => {
-                    if self.remaining == 0 {
-                        return StreamItem::Exhausted;
-                    }
-                    match self.claim() {
-                        Some(b) => {
-                            self.state[w] = Some((b, 0));
-                            // Loop to serve the first sample (empty blocks
-                            // release immediately and try again).
-                        }
-                        None => return StreamItem::Stall,
-                    }
-                }
-            }
-        }
+        self.replay.next(&self.epoch, &self.grid, w)
     }
 
     fn begin_epoch(&mut self, epoch: u32) {
-        self.rng = ChaCha8Rng::seed_from_u64(self.seed ^ (u64::from(epoch) << 32));
-        self.row_busy.fill(false);
-        self.col_busy.fill(false);
-        self.processed.fill(false);
-        self.remaining = self.a * self.a;
-        self.state.fill(None);
+        let a = self.a;
+        let mut table = Table {
+            a,
+            row_busy: vec![false; a],
+            col_busy: vec![false; a],
+            processed: vec![false; a * a],
+            remaining: a * a,
+            rng: ChaCha8Rng::seed_from_u64(self.seed ^ (u64::from(epoch) << 32)),
+            candidates: Vec::with_capacity(a * a),
+        };
+        self.epoch = schedule(&mut table, self.workers, &self.grid);
+        self.replay.reset(self.workers);
     }
 
     fn name(&self) -> &'static str {
         "libmf-table"
+    }
+
+    fn blocks(&self) -> Option<(&BlockGrid, &EpochBlocks)> {
+        Some((&self.grid, &self.epoch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::blocks::assert_matches_oracle;
     use crate::sched::drain_epoch;
+    use cumf_rng::Rng;
+
+    /// The per-sample state machine that scheduled LIBMF epochs before
+    /// block schedules, kept verbatim: the oracle the event-driven
+    /// schedule must reproduce.
+    #[derive(Debug, Clone)]
+    struct Legacy {
+        workers: usize,
+        a: usize,
+        /// blocks[bi * a + bj] = sample indices of block (bi, bj).
+        blocks: Vec<Vec<usize>>,
+        row_busy: Vec<bool>,
+        col_busy: Vec<bool>,
+        processed: Vec<bool>,
+        remaining: usize,
+        /// Per-worker: currently held block and cursor.
+        state: Vec<Option<(usize, usize)>>,
+        rng: ChaCha8Rng,
+        seed: u64,
+    }
+
+    impl Legacy {
+        fn new(data: &CooMatrix, workers: usize, a: usize, seed: u64) -> Self {
+            let m = data.rows() as usize;
+            let n = data.cols() as usize;
+            let mut blocks = vec![Vec::new(); a * a];
+            for (i, e) in data.iter().enumerate() {
+                let bi = (e.u as usize * a / m).min(a - 1);
+                let bj = (e.v as usize * a / n).min(a - 1);
+                blocks[bi * a + bj].push(i);
+            }
+            let mut s = Legacy {
+                workers,
+                a,
+                blocks,
+                row_busy: vec![false; a],
+                col_busy: vec![false; a],
+                processed: vec![false; a * a],
+                remaining: a * a,
+                state: vec![None; workers],
+                rng: ChaCha8Rng::seed_from_u64(seed),
+                seed,
+            };
+            s.begin_epoch(0);
+            s
+        }
+
+        /// Attempts to claim a random free independent block for a worker.
+        fn claim(&mut self) -> Option<usize> {
+            // The table search: all unprocessed blocks whose row and column are
+            // free. LIBMF scans the whole table under the lock (O(a²)).
+            let mut candidates: Vec<usize> = (0..self.blocks.len())
+                .filter(|&b| {
+                    !self.processed[b] && !self.row_busy[b / self.a] && !self.col_busy[b % self.a]
+                })
+                .collect();
+            candidates.shuffle(&mut self.rng);
+            let b = candidates.first().copied()?;
+            self.row_busy[b / self.a] = true;
+            self.col_busy[b % self.a] = true;
+            Some(b)
+        }
+
+        fn release(&mut self, b: usize) {
+            self.row_busy[b / self.a] = false;
+            self.col_busy[b % self.a] = false;
+            self.processed[b] = true;
+            self.remaining -= 1;
+        }
+    }
+
+    impl UpdateStream for Legacy {
+        fn workers(&self) -> usize {
+            self.workers
+        }
+
+        fn next(&mut self, w: usize) -> StreamItem {
+            loop {
+                match self.state[w] {
+                    Some((b, cursor)) => {
+                        if cursor < self.blocks[b].len() {
+                            self.state[w] = Some((b, cursor + 1));
+                            return StreamItem::Sample(self.blocks[b][cursor]);
+                        }
+                        self.release(b);
+                        self.state[w] = None;
+                    }
+                    None => {
+                        if self.remaining == 0 {
+                            return StreamItem::Exhausted;
+                        }
+                        match self.claim() {
+                            Some(b) => {
+                                self.state[w] = Some((b, 0));
+                                // Loop to serve the first sample (empty blocks
+                                // release immediately and try again).
+                            }
+                            None => return StreamItem::Stall,
+                        }
+                    }
+                }
+            }
+        }
+
+        fn begin_epoch(&mut self, epoch: u32) {
+            self.rng = ChaCha8Rng::seed_from_u64(self.seed ^ (u64::from(epoch) << 32));
+            self.row_busy.fill(false);
+            self.col_busy.fill(false);
+            self.processed.fill(false);
+            self.remaining = self.a * self.a;
+            self.state.fill(None);
+        }
+
+        fn name(&self) -> &'static str {
+            "libmf-table"
+        }
+    }
+
+    /// The event-driven block schedule equals the per-sample oracle —
+    /// items, rounds and stalls — over random shapes and seeds, including
+    /// grids with empty blocks and more grid rows than workers.
+    #[test]
+    fn block_schedule_matches_the_per_sample_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x11bf);
+        let (mut wide, mut with_empty) = (0, 0);
+        for _ in 0..120 {
+            let workers = rng.gen_range(1..7usize);
+            let a = rng.gen_range(1..10usize);
+            let m = rng.gen_range(a..a * 6 + 1) as u32;
+            let n = rng.gen_range(a..a * 6 + 1) as u32;
+            let nnz = rng.gen_range(0..400usize);
+            // Skewed ids leave some blocks empty.
+            let mut data = CooMatrix::new(m, n);
+            for _ in 0..nnz {
+                let u = rng.gen_range(0..m).min(rng.gen_range(0..m));
+                let v = rng.gen_range(0..n).min(rng.gen_range(0..n));
+                data.push(u, v, 1.0);
+            }
+            let seed = rng.gen_range(0..u64::MAX);
+            let mut stream = LibmfTableStream::new(&data, workers, a, seed);
+            let mut oracle = Legacy::new(&data, workers, a, seed);
+            wide += usize::from(a > workers);
+            with_empty += usize::from(
+                (0..stream.grid.cells() as u32).any(|c| stream.grid.cell(c).is_empty()),
+            );
+            for epoch in 0..3 {
+                stream.begin_epoch(epoch);
+                oracle.begin_epoch(epoch);
+                assert_matches_oracle(&mut stream, &mut oracle);
+            }
+        }
+        assert!(
+            wide >= 40 && with_empty >= 40,
+            "{wide} with a > workers, {with_empty} with empty blocks"
+        );
+    }
 
     fn matrix(m: u32, n: u32, nnz: usize) -> CooMatrix {
         let mut coo = CooMatrix::new(m, n);
@@ -167,7 +322,6 @@ mod tests {
         let mut all: Vec<usize> = seqs.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..1500).collect::<Vec<_>>());
-        assert_eq!(s.remaining_blocks(), 0);
     }
 
     /// Eq. 6: concurrently-updated blocks never share a row or a column.

@@ -15,6 +15,7 @@
 //! property of the schedule rather than thread-timing noise.
 
 mod batch_hogwild;
+pub mod blocks;
 pub mod conflict;
 mod hogwild;
 mod libmf;
@@ -22,6 +23,7 @@ mod serial;
 mod wavefront;
 
 pub use batch_hogwild::BatchHogwildStream;
+pub use blocks::{BlockGrid, EpochBlocks, ScheduledBlock};
 pub(crate) use conflict::adjudicate;
 pub use conflict::{
     certify, resolve_exec_mode, round_bound, Axis, Certifier, Clash, ConflictCert, ConflictVerdict,
@@ -57,6 +59,14 @@ pub trait UpdateStream {
 
     /// Human-readable policy name for traces and reports.
     fn name(&self) -> &'static str;
+
+    /// For the blocking policies (wavefront, LIBMF's table): the grid and
+    /// the block schedule of the epoch begun last, which
+    /// [`UpdateStream::next`] replays. `None` for policies that schedule
+    /// sample by sample.
+    fn blocks(&self) -> Option<(&BlockGrid, &EpochBlocks)> {
+        None
+    }
 }
 
 /// Drains a full epoch of a stream, returning per-worker sample sequences.

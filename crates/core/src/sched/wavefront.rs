@@ -16,6 +16,16 @@
 //! of length L would need `L ≡ 0 (mod c)` — impossible for `L ≤ s < c`.
 //! The constructor therefore requires `c ≥ 2s` (the paper's own example
 //! uses c = 2s: 4 workers, 8 columns).
+//!
+//! ## Block schedule
+//!
+//! The grid is one CSR of `u32` sample indices ([`super::BlockGrid`]).
+//! [`UpdateStream::begin_epoch`] computes the whole epoch at block
+//! granularity ([`super::blocks`]): who holds which column from which
+//! round, and which round each worker runs dry, without stepping through
+//! every sample and stall. [`UpdateStream::next`] replays that schedule,
+//! one sample per worker per round, and [`UpdateStream::blocks`] hands it
+//! to the block-major executor.
 
 use cumf_rng::seq::SliceRandom;
 use cumf_rng::ChaCha8Rng;
@@ -23,6 +33,7 @@ use cumf_rng::SeedableRng;
 
 use cumf_data::CooMatrix;
 
+use super::blocks::{schedule, BlockGrid, BlockPolicy, Claim, EpochBlocks, Replay};
 use super::{StreamItem, UpdateStream};
 
 /// Wavefront-update scheduling over an s×c block grid.
@@ -30,24 +41,43 @@ use super::{StreamItem, UpdateStream};
 pub struct WavefrontStream {
     workers: usize,
     cols: usize,
-    /// blocks[w * cols + c] = sample indices of block (w, c).
-    blocks: Vec<Vec<usize>>,
-    /// Shared per-epoch column permutation.
-    perm: Vec<usize>,
-    /// Per-worker rotation offset into `perm`.
+    /// Cell `w * cols + c` holds the samples of block (w, c).
+    grid: BlockGrid,
+    /// Per-worker rotation offset into the epoch's column permutation.
     offsets: Vec<usize>,
-    /// locks[col] = worker currently holding the column.
-    locks: Vec<Option<usize>>,
-    /// Per-worker progress: (wave index, cursor, holding column).
-    state: Vec<WorkerState>,
+    /// The current epoch's blocks.
+    epoch: EpochBlocks,
+    replay: Replay,
     seed: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerState {
-    wave: usize,
-    cursor: usize,
-    holding: Option<usize>,
+/// One epoch's column locks: worker `w` walks `perm` from `offsets[w]`,
+/// one wave per block.
+struct ColumnLocks<'a> {
+    perm: &'a [usize],
+    offsets: &'a [usize],
+    wave: Vec<usize>,
+    locked: Vec<bool>,
+}
+
+impl BlockPolicy for ColumnLocks<'_> {
+    fn claim(&mut self, w: usize) -> Claim {
+        let cols = self.perm.len();
+        if self.wave[w] >= cols {
+            return Claim::Done;
+        }
+        let col = self.perm[(self.offsets[w] + self.wave[w]) % cols];
+        if self.locked[col] {
+            return Claim::Wait;
+        }
+        self.locked[col] = true;
+        Claim::Cell((w * cols + col) as u32)
+    }
+
+    fn release(&mut self, w: usize, cell: u32) {
+        self.locked[cell as usize % self.perm.len()] = false;
+        self.wave[w] += 1;
+    }
 }
 
 impl WavefrontStream {
@@ -66,36 +96,17 @@ impl WavefrontStream {
             "more workers than rows"
         );
         assert!(cols as u32 <= data.cols().max(1), "more columns than items");
-        let m = data.rows() as usize;
-        let n = data.cols() as usize;
-        let mut blocks = vec![Vec::new(); workers * cols];
-        for (i, e) in data.iter().enumerate() {
-            let bw = (e.u as usize * workers / m).min(workers - 1);
-            let bc = (e.v as usize * cols / n).min(cols - 1);
-            blocks[bw * cols + bc].push(i);
-        }
         let mut stream = WavefrontStream {
             workers,
             cols,
-            blocks,
-            perm: (0..cols).collect(),
+            grid: BlockGrid::build(data, workers, cols),
             offsets: (0..workers).map(|w| w * cols / workers).collect(),
-            locks: vec![None; cols],
-            state: vec![WorkerState::default(); workers],
+            epoch: EpochBlocks::default(),
+            replay: Replay::default(),
             seed,
         };
         stream.begin_epoch(0);
         stream
-    }
-
-    /// The column worker `w` targets at its current wave.
-    fn target_col(&self, w: usize) -> usize {
-        self.perm[(self.offsets[w] + self.state[w].wave) % self.cols]
-    }
-
-    /// Total blocks in the grid.
-    pub fn grid_blocks(&self) -> usize {
-        self.workers * self.cols
     }
 }
 
@@ -105,60 +116,194 @@ impl UpdateStream for WavefrontStream {
     }
 
     fn next(&mut self, w: usize) -> StreamItem {
-        loop {
-            let st = self.state[w];
-            match st.holding {
-                Some(col) => {
-                    let block = &self.blocks[w * self.cols + col];
-                    if st.cursor < block.len() {
-                        let i = block[st.cursor];
-                        self.state[w].cursor += 1;
-                        return StreamItem::Sample(i);
-                    }
-                    // Block finished: release the column, move to the
-                    // next wave.
-                    debug_assert_eq!(self.locks[col], Some(w));
-                    self.locks[col] = None;
-                    self.state[w].holding = None;
-                    self.state[w].wave += 1;
-                    self.state[w].cursor = 0;
-                }
-                None => {
-                    if st.wave >= self.cols {
-                        return StreamItem::Exhausted;
-                    }
-                    let col = self.target_col(w);
-                    match self.locks[col] {
-                        None => {
-                            self.locks[col] = Some(w);
-                            self.state[w].holding = Some(col);
-                            // Loop: serve the first sample (or release an
-                            // empty block immediately).
-                        }
-                        Some(_) => return StreamItem::Stall,
-                    }
-                }
-            }
-        }
+        self.replay.next(&self.epoch, &self.grid, w)
     }
 
     fn begin_epoch(&mut self, epoch: u32) {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (u64::from(epoch) << 32));
-        self.perm = (0..self.cols).collect();
-        self.perm.shuffle(&mut rng);
-        self.locks.fill(None);
-        self.state.fill(WorkerState::default());
+        let mut perm: Vec<usize> = (0..self.cols).collect();
+        perm.shuffle(&mut rng);
+        let mut locks = ColumnLocks {
+            perm: &perm,
+            offsets: &self.offsets,
+            wave: vec![0; self.workers],
+            locked: vec![false; self.cols],
+        };
+        self.epoch = schedule(&mut locks, self.workers, &self.grid);
+        self.replay.reset(self.workers);
     }
 
     fn name(&self) -> &'static str {
         "wavefront"
+    }
+
+    fn blocks(&self) -> Option<(&BlockGrid, &EpochBlocks)> {
+        Some((&self.grid, &self.epoch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::blocks::assert_matches_oracle;
     use crate::sched::drain_epoch;
+    use cumf_rng::Rng;
+
+    /// The per-sample state machine that scheduled wavefront epochs before
+    /// block schedules, kept verbatim: the oracle the event-driven
+    /// schedule must reproduce.
+    #[derive(Debug, Clone)]
+    struct Legacy {
+        workers: usize,
+        cols: usize,
+        /// blocks[w * cols + c] = sample indices of block (w, c).
+        blocks: Vec<Vec<usize>>,
+        /// Shared per-epoch column permutation.
+        perm: Vec<usize>,
+        /// Per-worker rotation offset into `perm`.
+        offsets: Vec<usize>,
+        /// locks[col] = worker currently holding the column.
+        locks: Vec<Option<usize>>,
+        /// Per-worker progress: (wave index, cursor, holding column).
+        state: Vec<WorkerState>,
+        seed: u64,
+    }
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct WorkerState {
+        wave: usize,
+        cursor: usize,
+        holding: Option<usize>,
+    }
+
+    impl Legacy {
+        fn new(data: &CooMatrix, workers: usize, cols: usize, seed: u64) -> Self {
+            let m = data.rows() as usize;
+            let n = data.cols() as usize;
+            let mut blocks = vec![Vec::new(); workers * cols];
+            for (i, e) in data.iter().enumerate() {
+                let bw = (e.u as usize * workers / m).min(workers - 1);
+                let bc = (e.v as usize * cols / n).min(cols - 1);
+                blocks[bw * cols + bc].push(i);
+            }
+            let mut stream = Legacy {
+                workers,
+                cols,
+                blocks,
+                perm: (0..cols).collect(),
+                offsets: (0..workers).map(|w| w * cols / workers).collect(),
+                locks: vec![None; cols],
+                state: vec![WorkerState::default(); workers],
+                seed,
+            };
+            stream.begin_epoch(0);
+            stream
+        }
+
+        /// The column worker `w` targets at its current wave.
+        fn target_col(&self, w: usize) -> usize {
+            self.perm[(self.offsets[w] + self.state[w].wave) % self.cols]
+        }
+    }
+
+    impl UpdateStream for Legacy {
+        fn workers(&self) -> usize {
+            self.workers
+        }
+
+        fn next(&mut self, w: usize) -> StreamItem {
+            loop {
+                let st = self.state[w];
+                match st.holding {
+                    Some(col) => {
+                        let block = &self.blocks[w * self.cols + col];
+                        if st.cursor < block.len() {
+                            let i = block[st.cursor];
+                            self.state[w].cursor += 1;
+                            return StreamItem::Sample(i);
+                        }
+                        // Block finished: release the column, move to the
+                        // next wave.
+                        debug_assert_eq!(self.locks[col], Some(w));
+                        self.locks[col] = None;
+                        self.state[w].holding = None;
+                        self.state[w].wave += 1;
+                        self.state[w].cursor = 0;
+                    }
+                    None => {
+                        if st.wave >= self.cols {
+                            return StreamItem::Exhausted;
+                        }
+                        let col = self.target_col(w);
+                        match self.locks[col] {
+                            None => {
+                                self.locks[col] = Some(w);
+                                self.state[w].holding = Some(col);
+                                // Loop: serve the first sample (or release an
+                                // empty block immediately).
+                            }
+                            Some(_) => return StreamItem::Stall,
+                        }
+                    }
+                }
+            }
+        }
+
+        fn begin_epoch(&mut self, epoch: u32) {
+            let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ (u64::from(epoch) << 32));
+            self.perm = (0..self.cols).collect();
+            self.perm.shuffle(&mut rng);
+            self.locks.fill(None);
+            self.state.fill(WorkerState::default());
+        }
+
+        fn name(&self) -> &'static str {
+            "wavefront"
+        }
+    }
+
+    /// The event-driven block schedule equals the per-sample oracle —
+    /// items, rounds and stalls — over random shapes and seeds, including
+    /// grids with empty blocks and `cols == 2 · workers`.
+    #[test]
+    fn block_schedule_matches_the_per_sample_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x3afe);
+        let (mut tight, mut with_empty) = (0, 0);
+        for case in 0..120 {
+            let workers = rng.gen_range(1..7usize);
+            let cols = if case % 3 == 0 {
+                2 * workers
+            } else {
+                rng.gen_range(2 * workers..3 * workers + 4)
+            };
+            let m = rng.gen_range(workers..workers * 8 + 1) as u32;
+            let n = rng.gen_range(cols..cols * 5 + 1) as u32;
+            let nnz = rng.gen_range(0..400usize);
+            // Skewed ids leave some blocks empty.
+            let mut data = CooMatrix::new(m, n);
+            for _ in 0..nnz {
+                let u = rng.gen_range(0..m).min(rng.gen_range(0..m));
+                let v = rng.gen_range(0..n).min(rng.gen_range(0..n));
+                data.push(u, v, 1.0);
+            }
+            let seed = rng.gen_range(0..u64::MAX);
+            let mut stream = WavefrontStream::new(&data, workers, cols, seed);
+            let mut oracle = Legacy::new(&data, workers, cols, seed);
+            tight += usize::from(cols == 2 * workers);
+            with_empty += usize::from(
+                (0..stream.grid.cells() as u32).any(|c| stream.grid.cell(c).is_empty()),
+            );
+            for epoch in 0..3 {
+                stream.begin_epoch(epoch);
+                oracle.begin_epoch(epoch);
+                assert_matches_oracle(&mut stream, &mut oracle);
+            }
+        }
+        assert!(
+            tight >= 40 && with_empty >= 40,
+            "{tight} tight, {with_empty} with empty blocks"
+        );
+    }
 
     fn matrix(m: u32, n: u32, nnz: usize) -> CooMatrix {
         let mut coo = CooMatrix::new(m, n);
@@ -250,7 +395,7 @@ mod tests {
         let data = matrix(64, 64, 100);
         let s = WavefrontStream::new(&data, 4, 8, 0);
         assert_eq!(s.offsets, vec![0, 2, 4, 6]);
-        assert_eq!(s.grid_blocks(), 32);
+        assert_eq!(s.grid.cells(), 32);
     }
 
     #[test]

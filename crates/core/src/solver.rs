@@ -257,9 +257,10 @@ pub fn train<E: Element>(
 /// the result bit-identical to an uninterrupted run.
 ///
 /// A multi-worker scheme that claims conflict-freedom ([`Scheme::default_mode`]
-/// is [`ExecMode::Sequential`]) must prove it: with no explicit `mode`, it
-/// runs under Sequential while a [`Certifier`] checks every round it
-/// executes, and the verdict is attached to the result. Should a round
+/// is [`ExecMode::Sequential`]: wavefront, LIBMF's table) must prove it:
+/// with no explicit `mode`, a [`Certifier`] checks each epoch's block
+/// schedule before it runs, certified epochs run block-major on OS
+/// threads, and the verdict is attached to the result. Should an epoch
 /// conflict, that run is discarded and the whole budget rerun on the
 /// stale-additive conflict engine.
 pub fn train_resumable<E: Element>(
@@ -465,17 +466,17 @@ impl RunInputs<'_> {
         }
     }
 
-    /// Trains a schedule that claims conflict-freedom under
-    /// [`ExecMode::Sequential`] while a [`Certifier`] checks every round
-    /// as it executes; returns the trained model, the run, the mode it
-    /// earned and the verdict.
+    /// Trains a block schedule that claims conflict-freedom on the
+    /// [`CertifyingBackend`]: a [`Certifier`] checks each epoch's blocks
+    /// before the epoch runs, and certified epochs run block-major. Returns
+    /// the trained model, the run, the mode it earned and the verdict.
     ///
     /// The verdict covers every configured epoch, as [`crate::sched::certify`]
     /// over a fresh stream would: epochs the run does not execute — the
     /// prefix a resumed run skips, the tail after a divergence stop — are
-    /// replayed into the same certifier, in epoch order. A refuted
-    /// schedule's run is discarded and the whole budget rerun on the
-    /// stale-additive engine, from the state the run began with.
+    /// replayed into the same certifier, in epoch order. A refuted epoch never runs; the speculative run stops
+    /// there and the whole budget reruns on the stale-additive engine, from
+    /// the state the run began with.
     fn certified<E: Element>(
         &self,
         mut model: EngineModel<E>,
@@ -975,41 +976,88 @@ mod tests {
         coo
     }
 
-    /// A stream that counts the epochs begun, across every instance
-    /// sharing the counter.
-    struct Counted(BatchHogwildStream, Rc<Cell<u32>>);
+    /// One epoch of a scripted block schedule: its grid and its blocks.
+    type Plan = (crate::sched::BlockGrid, crate::sched::EpochBlocks);
 
-    impl UpdateStream for Counted {
+    /// A block schedule given epoch by epoch by `plan`, which [`next`]
+    /// replays; `begun` counts the epochs begun across every instance
+    /// sharing it.
+    ///
+    /// [`next`]: UpdateStream::next
+    struct Scripted {
+        plan: Rc<dyn Fn(u32) -> Plan>,
+        now: Plan,
+        replay: crate::sched::blocks::Replay,
+        begun: Rc<Cell<u32>>,
+    }
+
+    impl Scripted {
+        fn boxed(plan: &Rc<dyn Fn(u32) -> Plan>, begun: &Rc<Cell<u32>>) -> Box<dyn UpdateStream> {
+            Box::new(Scripted {
+                plan: plan.clone(),
+                now: plan(0),
+                replay: Default::default(),
+                begun: begun.clone(),
+            })
+        }
+    }
+
+    impl UpdateStream for Scripted {
         fn workers(&self) -> usize {
-            self.0.workers()
+            self.now.1.workers()
         }
         fn next(&mut self, w: usize) -> crate::sched::StreamItem {
-            self.0.next(w)
+            self.replay.next(&self.now.1, &self.now.0, w)
         }
         fn begin_epoch(&mut self, epoch: u32) {
-            self.1.set(self.1.get() + 1);
-            self.0.begin_epoch(epoch);
+            self.begun.set(self.begun.get() + 1);
+            self.now = (self.plan)(epoch);
+            self.replay.reset(self.workers());
         }
         fn name(&self) -> &'static str {
-            self.0.name()
+            "scripted"
         }
+        fn blocks(&self) -> Option<(&crate::sched::BlockGrid, &crate::sched::EpochBlocks)> {
+            Some((&self.now.0, &self.now.1))
+        }
+    }
+
+    /// Blocks `(start, worker, cell, len)` ending with each worker
+    /// exhausted in round `exhausted[w]`.
+    fn blocks(list: &[(u64, u32, u32, u32)], exhausted: Vec<u64>) -> crate::sched::EpochBlocks {
+        let list = list
+            .iter()
+            .map(|&(start, worker, cell, len)| crate::sched::ScheduledBlock {
+                start,
+                worker,
+                cell,
+                len,
+            })
+            .collect();
+        crate::sched::EpochBlocks::new(list, exhausted)
     }
 
     #[test]
     fn refuted_schedule_reruns_on_the_stale_additive_engine() {
+        // Two workers sweep two blocks of the one grid cell side by side:
+        // their blocks overlap, and round 0 already shares P row 0.
         let data = one_cell();
+        let cells = data.clone();
+        let plan: Rc<dyn Fn(u32) -> Plan> = Rc::new(move |_| {
+            let grid = crate::sched::BlockGrid::from_cells(
+                &cells,
+                vec![0, 1],
+                vec![0, 1],
+                &[(0, 0, &[0, 2, 4, 6]), (0, 0, &[1, 3, 5, 7])],
+            );
+            (grid, blocks(&[(0, 0, 0, 4), (0, 1, 1, 4)], vec![4, 4]))
+        });
         let cfg = SolverConfig {
             epochs: 3,
-            ..base_config(Scheme::BatchHogwild {
-                workers: 2,
-                batch: 1,
-            })
+            ..base_config(Scheme::LibmfTable { workers: 2, a: 1 })
         };
         let begun = Rc::new(Cell::new(0));
-        let racy = || {
-            Box::new(Counted(BatchHogwildStream::new(8, 2, 1), begun.clone()))
-                as Box<dyn UpdateStream>
-        };
+        let racy = || Scripted::boxed(&plan, &begun);
         let r = train_on::<f32>(&data, &cfg, None, &racy, ExecMode::Sequential);
         assert_eq!(r.exec_mode, ExecMode::StaleAdditive);
         assert_eq!(
@@ -1017,53 +1065,47 @@ mod tests {
             1 + cfg.epochs,
             "the speculative run stops at its first, conflicting, epoch"
         );
-        let expected = replayed(
-            &data,
-            Box::new(BatchHogwildStream::new(8, 2, 1)),
-            cfg.epochs,
+        let expected = replayed(&data, racy(), cfg.epochs);
+        let w = expected.witness().expect("overlapping blocks collide");
+        assert_eq!(
+            (w.epoch, w.round, w.axis),
+            (0, 0, crate::sched::Axis::Row(0))
         );
-        assert!(expected.witness().is_some());
         assert_eq!(r.schedule_verdict, Some(expected));
         assert!(r.stale_verdict.is_none());
         let forced = SolverConfig {
             mode: Some(ExecMode::StaleAdditive),
             ..cfg
         };
-        assert_same_run(&r, &train::<f32>(&data, &data, &forced, None));
+        let f = train_on::<f32>(&data, &forced, None, &racy, ExecMode::Sequential);
+        assert_same_run(&r, &f);
     }
 
-    /// Two workers over a 2×2 diagonal-then-antidiagonal matrix: epochs
-    /// before `flip_at` pair disjoint samples, later epochs pair samples
-    /// sharing a P row.
-    struct Flip {
-        flip_at: u32,
-        order: [[usize; 2]; 2],
-        cursor: [usize; 2],
-    }
-
-    impl UpdateStream for Flip {
-        fn workers(&self) -> usize {
-            2
-        }
-        fn next(&mut self, w: usize) -> crate::sched::StreamItem {
-            let c = self.cursor[w];
-            if c == 2 {
-                return crate::sched::StreamItem::Exhausted;
-            }
-            self.cursor[w] += 1;
-            crate::sched::StreamItem::Sample(self.order[w][c])
-        }
-        fn begin_epoch(&mut self, epoch: u32) {
-            self.order = if epoch < self.flip_at {
-                [[0, 2], [1, 3]]
+    /// Two workers over a 2×2 matrix whose blocks always overlap: epochs
+    /// before `flip_at` pair disjoint samples (certified sample by sample),
+    /// later epochs pair samples sharing a P row.
+    fn flip(data: &CooMatrix, flip_at: u32) -> Rc<dyn Fn(u32) -> Plan> {
+        let data = data.clone();
+        Rc::new(move |epoch| {
+            let grid = if epoch < flip_at {
+                // Worker 0 sweeps P row 0, worker 1 P row 1, both across
+                // the one grid column.
+                crate::sched::BlockGrid::from_cells(
+                    &data,
+                    vec![0, 1, 2],
+                    vec![0, 2],
+                    &[(0, 0, &[0, 2]), (1, 0, &[1, 3])],
+                )
             } else {
-                [[0, 1], [2, 3]]
+                crate::sched::BlockGrid::from_cells(
+                    &data,
+                    vec![0, 2],
+                    vec![0, 2],
+                    &[(0, 0, &[0, 1]), (0, 0, &[2, 3])],
+                )
             };
-            self.cursor = [0, 0];
-        }
-        fn name(&self) -> &'static str {
-            "flip"
-        }
+            (grid, blocks(&[(0, 0, 0, 2), (0, 1, 1, 2)], vec![2, 2]))
+        })
     }
 
     #[test]
@@ -1072,13 +1114,9 @@ mod tests {
         for (u, v, r) in [(0, 0, 1.0), (1, 1, 2.0), (0, 1, 3.0), (1, 0, 4.0)] {
             data.push(u, v, r);
         }
-        let flip = || {
-            Box::new(Flip {
-                flip_at: 3,
-                order: [[0; 2]; 2],
-                cursor: [2, 2],
-            }) as Box<dyn UpdateStream>
-        };
+        let plan = flip(&data, 3);
+        let begun = Rc::new(Cell::new(0));
+        let flip = || Scripted::boxed(&plan, &begun);
         let cfg = SolverConfig {
             epochs: 4,
             ..base_config(Scheme::LibmfTable { workers: 2, a: 2 })
@@ -1094,6 +1132,7 @@ mod tests {
         };
         let head = train_on::<f32>(&data, &head_cfg, Some(&spec), &flip, ExecMode::Sequential);
         assert_eq!(head.exec_mode, ExecMode::Sequential);
+        assert!(head.schedule_verdict.unwrap().is_certified());
         let copy = CheckpointSpec {
             path: temp_checkpoint("flip-copy"),
             ..spec.clone()
@@ -1121,29 +1160,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "did not exhaust")]
     fn stalling_schedule_panics_instead_of_spinning() {
-        struct Stalled;
-        impl UpdateStream for Stalled {
-            fn workers(&self) -> usize {
-                2
-            }
-            fn next(&mut self, _w: usize) -> crate::sched::StreamItem {
-                crate::sched::StreamItem::Stall
-            }
-            fn begin_epoch(&mut self, _e: u32) {}
-            fn name(&self) -> &'static str {
-                "stalled"
-            }
-        }
-        let data = one_cell();
+        // Two workers that are never exhausted and never get a block.
+        let plan: Rc<dyn Fn(u32) -> Plan> = Rc::new(|_| {
+            let grid =
+                crate::sched::BlockGrid::from_cells(&one_cell(), vec![0, 1], vec![0, 1], &[]);
+            (grid, blocks(&[], vec![u64::MAX; 2]))
+        });
+        let begun = Rc::new(Cell::new(0));
         let cfg = SolverConfig {
             epochs: 1,
             ..base_config(Scheme::LibmfTable { workers: 2, a: 1 })
         };
         let _ = train_on::<f32>(
-            &data,
+            &one_cell(),
             &cfg,
             None,
-            &|| Box::new(Stalled),
+            &|| Scripted::boxed(&plan, &begun),
             ExecMode::Sequential,
         );
     }

@@ -440,8 +440,8 @@ const U64_VECTORS: [(u64, u64); 10] = [
 ];
 
 /// Every certificate digest `cumf analyze --all` prints (the four prover
-/// schedules, the five deadlock and five liveness certificates, the
-/// three staleness certificates), the solver's cost certificate and the
+/// schedules, the six deadlock and six liveness certificates, the
+/// four staleness certificates), the solver's cost certificate and the
 /// byte-level digest itself, pinned to constants: a refactor of the
 /// digest or verdict plumbing must reproduce each one bit for bit.
 #[test]
@@ -474,11 +474,18 @@ fn certificate_digests_are_pinned() {
             "1da9062d1c5b8339",
             "b16497bec916f474",
             "90c8d42ddb04590d",
+            "5323a2c55abd1fc3",
+            "cba25481ce56f727",
         ]
     );
     assert_eq!(
         printed_digests(&staleness_section()),
-        ["5fd8c7851e6407ca", "dd63d8f1a35b9b0d", "67774d523b780d1f",]
+        [
+            "5fd8c7851e6407ca",
+            "dd63d8f1a35b9b0d",
+            "67774d523b780d1f",
+            "1f7649c01f9733cf",
+        ]
     );
     assert_eq!(
         CostCert::certify::<f32>(64, RatingAccess::Streamed, None).digest,

@@ -5,9 +5,11 @@
 //! byte for byte under `tests/golden/`. A change that moves a transcript
 //! on purpose updates the file and says why in CHANGES.md.
 //!
-//! The analyze transcript stops before the `== sanitize` header: with
-//! `--features sanitize` that section lists the race instances the
-//! lockset sanitizer happened to observe, which vary from run to run.
+//! The analyze transcript is pinned whole. The default build skips the
+//! lockset sanitizer, so `analyze_all.txt` ends with its `[SKIP]`
+//! section; with `--features sanitize` the same transcript ends with the
+//! sanitize section in `analyze_sanitize.txt` instead, which reports the
+//! racy sites and their counts.
 
 use std::process::Command;
 
@@ -58,12 +60,14 @@ fn chaos_quick_transcript_is_pinned() {
 #[test]
 fn analyze_all_transcript_is_pinned() {
     let actual = cumf_stdout(&["analyze", "--all"]);
-    let end = actual
-        .find("== sanitize")
-        .expect("analyze --all prints a sanitize section");
-    assert_matches_golden(
-        "analyze_all.txt",
-        &actual[..end],
-        include_str!("golden/analyze_all.txt"),
-    );
+    let golden = include_str!("golden/analyze_all.txt");
+    if cfg!(feature = "sanitize") {
+        let (head, _) = golden
+            .split_once("== sanitize")
+            .expect("the golden has a sanitize section");
+        let expected = format!("{head}{}", include_str!("golden/analyze_sanitize.txt"));
+        assert_matches_golden("analyze_sanitize.txt", &actual, &expected);
+    } else {
+        assert_matches_golden("analyze_all.txt", &actual, golden);
+    }
 }

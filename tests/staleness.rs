@@ -10,17 +10,28 @@
 //!   with an atomic version counter (snapshot at read, delta at commit
 //!   = writes that landed in between) and the observed maximum never
 //!   exceeds the certified τ = (W − 1) × per-epoch quota;
+//! * real wavefront and LIBMF block schedules run through the block-DAG
+//!   executor's scheduler on 1, 2 and 4 OS threads with every P-row and
+//!   Q-column update instrumented the same way: no update ever observes
+//!   a foreign write between its read and its write — the certified
+//!   τ = 0 of the `block-dag` path — and every row and column sees its
+//!   updates in the round engines' order;
 //! * the solver consumes the certifier: a sane racy configuration
 //!   trains stale-additive with a certificate attached to
 //!   `TrainResult`, an oversubscribed schedule is refuted and
 //!   downgraded to sequential execution, and explicit mode overrides
 //!   skip certification entirely.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cumf_sgd::core::sched::{HogwildStream, StreamItem, UpdateStream};
+use cumf_sgd::core::concurrent::UPDATE_PATHS;
+use cumf_sgd::core::engine::run_block_dag;
+use cumf_sgd::core::sched::{
+    HogwildStream, LibmfTableStream, StreamItem, UpdateStream, WavefrontStream,
+};
 use cumf_sgd::core::solver::{train, Scheme, SolverConfig};
-use cumf_sgd::core::stale::{staleness_bound, PathSpec};
+use cumf_sgd::core::stale::{staleness_bound, PathSpec, SyncEdge};
 use cumf_sgd::core::{ExecMode, Schedule};
 use cumf_sgd::data::synth::{generate, SynthConfig};
 
@@ -150,6 +161,134 @@ fn observed_threaded_staleness_never_exceeds_certified_tau() {
             assert!(
                 observed <= tau,
                 "workers={workers} seed={seed}: observed {observed} > certified τ={tau}"
+            );
+        }
+    }
+}
+
+// -------------------------------------------- block DAG vs certified τ = 0
+
+/// What [`measured_block_dag`] observed.
+struct DagCensus {
+    /// Most foreign commits any update saw between its read and write.
+    max_staleness: u64,
+    /// Updates whose commit did not land at the row's or column's
+    /// position in the round engines' (round-major) order.
+    out_of_order: u64,
+    updates: u64,
+}
+
+/// Runs `epochs` epochs of the block schedule `stream` through
+/// [`run_block_dag`] on `threads` OS threads. For every sample, the block
+/// body snapshots its P row's and Q column's version counters, spins
+/// briefly, then commits to both, and checks the versions it committed
+/// at against the sample's position in its row's and column's round-major
+/// update sequence.
+fn measured_block_dag(
+    data: &cumf_sgd::data::CooMatrix,
+    stream: &mut dyn UpdateStream,
+    threads: usize,
+    epochs: u32,
+) -> DagCensus {
+    let counters = |n: u32| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+    let (max_staleness, out_of_order, updates) =
+        (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    for epoch in 0..epochs {
+        stream.begin_epoch(epoch);
+        let (grid, blocks) = stream.blocks().expect("a block schedule");
+        // Each sample's place in its P row's and Q column's update order.
+        let (mut row_seq, mut col_seq) = (
+            vec![0u64; data.rows() as usize],
+            vec![0u64; data.cols() as usize],
+        );
+        let mut want = vec![(0u64, 0u64); data.nnz()];
+        let _ = blocks.round_major(grid, |_, _, i| {
+            let e = data.get(i as usize);
+            let (r, c) = (&mut row_seq[e.u as usize], &mut col_seq[e.v as usize]);
+            want[i as usize] = (*r, *c);
+            (*r, *c) = (*r + 1, *c + 1);
+            ControlFlow::Continue(())
+        });
+        let (p, q) = (counters(data.rows()), counters(data.cols()));
+        let (rows, cols) = (
+            vec![(); grid.rows() as usize],
+            vec![(); grid.cols() as usize],
+        );
+        run_block_dag(
+            grid,
+            blocks,
+            rows,
+            cols,
+            threads,
+            || (),
+            |_, block, _, _| {
+                for &i in grid.cell(block.cell) {
+                    let e = data.get(i as usize);
+                    let (pu, qv) = (&p[e.u as usize], &q[e.v as usize]);
+                    let snap = (pu.load(Ordering::SeqCst), qv.load(Ordering::SeqCst));
+                    std::hint::spin_loop();
+                    let commit = (
+                        pu.fetch_add(1, Ordering::SeqCst),
+                        qv.fetch_add(1, Ordering::SeqCst),
+                    );
+                    let seen = (commit.0 - snap.0).max(commit.1 - snap.1);
+                    max_staleness.fetch_max(seen, Ordering::SeqCst);
+                    if commit != want[i as usize] {
+                        out_of_order.fetch_add(1, Ordering::SeqCst);
+                    }
+                    updates.fetch_add(1, Ordering::SeqCst);
+                }
+            },
+        );
+    }
+    DagCensus {
+        max_staleness: max_staleness.into_inner(),
+        out_of_order: out_of_order.into_inner(),
+        updates: updates.into_inner(),
+    }
+}
+
+#[test]
+fn observed_block_dag_staleness_is_the_certified_zero() {
+    let anno = UPDATE_PATHS
+        .iter()
+        .find(|a| a.path == "block-dag")
+        .expect("the block DAG is a declared update path");
+    let d = generate(&SynthConfig {
+        m: 96,
+        n: 128,
+        k_true: 4,
+        train_samples: 6_000,
+        test_samples: 100,
+        ..SynthConfig::default()
+    });
+    for threads in [1usize, 2, 4] {
+        let spec = PathSpec {
+            name: anno.path,
+            writers: threads as u32,
+            footprint: anno.footprint,
+            sync: SyncEdge::Unsynced,
+            min_dim: 96,
+            anchor: anno.anchor,
+        };
+        let tau = staleness_bound(&spec).expect("disjoint rows are bounded");
+        assert_eq!(tau, 0);
+        let streams: [Box<dyn UpdateStream>; 2] = [
+            Box::new(WavefrontStream::new(&d.train, 8, 16, threads as u64)),
+            Box::new(LibmfTableStream::new(&d.train, 8, 12, threads as u64)),
+        ];
+        for mut stream in streams {
+            let name = stream.name();
+            let census = measured_block_dag(&d.train, stream.as_mut(), threads, 3);
+            assert_eq!(census.updates, 3 * d.train.nnz() as u64, "{name}");
+            assert!(
+                census.max_staleness <= tau,
+                "{name} on {threads} threads: observed {} > certified τ={tau}",
+                census.max_staleness
+            );
+            assert_eq!(
+                census.out_of_order, 0,
+                "{name} on {threads} threads: updates left their rows' round-major order"
             );
         }
     }
