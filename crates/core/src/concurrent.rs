@@ -19,9 +19,10 @@
 //! (§7.5). When no collision occurs, a round is exactly equivalent to
 //! sequential execution. Conflict-free policies (wavefront, LIBMF blocking)
 //! can run in the cheaper [`ExecMode::Sequential`] mode; the solver
-//! certifies each epoch of their block schedules and runs it block-major
-//! on OS threads ([`crate::engine::block_epoch`]), bit-identical to the
-//! sequential order.
+//! certifies each epoch of their block schedules and runs an epoch whose
+//! blocks are overlap-free block-major on OS threads
+//! ([`crate::engine::run_block_dag`]), bit-identical to the sequential
+//! order.
 //!
 //! A real-thread executor ([`threaded_hogwild_epoch`]) racing lock-free
 //! on atomic f32 cells ([`AtomicFactors`]) backs [`ExecMode::Threaded`]

@@ -7,8 +7,9 @@
 //! * [`StreamBackend`] — the single-device path: one [`UpdateStream`]
 //!   feeding one [`ExecEngine`] (the solver);
 //! * [`CertifyingBackend`] — the single-device path for a block schedule
-//!   that claims conflict-freedom: each epoch is certified from its block
-//!   schedule, then run block-major on OS threads;
+//!   that claims conflict-freedom: each epoch is certified before it
+//!   runs, and epochs whose blocks are overlap-free run block-major on OS
+//!   threads;
 //! * [`PartitionedBackend`] — §6's multi-GPU path: an i×j grid scheduled
 //!   in waves of independent blocks, each block executed with the
 //!   stale-additive engine, timed by the transfer/compute pipeline model.
@@ -29,7 +30,7 @@ use crate::partition::{schedule_epoch, BlockId, Grid};
 use crate::sched::{Axis, BatchHogwildStream, Certifier, UpdateStream};
 use crate::{SgdUpdateCost, Verdict};
 
-use super::exec::{block_epoch, stale_additive_epoch, ExecEngine};
+use super::exec::{block_epoch, sequential_epoch, stale_additive_epoch, ExecEngine};
 use super::model::EngineModel;
 
 /// What one epoch produced: execution statistics plus, for backends with
@@ -126,11 +127,13 @@ impl<E: Element> EpochBackend<E> for StreamBackend<'_, E> {
 }
 
 /// The single-device backend for a multi-worker block schedule that
-/// claims conflict-freedom (wavefront, LIBMF's table): each epoch is
-/// certified from its block schedule by a [`Certifier`] and, once
-/// certified, run by [`block_epoch`] on up to `available_parallelism()`
-/// OS threads. An epoch whose blocks are overlap-free cannot collide, so
-/// its digest fold runs beside the execution. A refuted epoch is never
+/// claims conflict-freedom (wavefront, LIBMF's table), each epoch
+/// checked by a [`Certifier`]. An epoch whose blocks are
+/// [overlap-free](crate::sched::EpochBlocks::overlap_free) cannot
+/// collide: it runs block-major on up to `available_parallelism()` OS
+/// threads while the certifier folds its digest beside it. Any other
+/// epoch is replayed through the per-sample claim scan first and, once
+/// certified, run by [`sequential_epoch`]. A refuted epoch is never
 /// executed: its outcome carries the schedule's rounds and stalls, no
 /// updates, and one collision on the witness's axis, which ends a
 /// speculative run. Collect the certifier with
@@ -179,29 +182,35 @@ impl<E: Element> EpochBackend<E> for CertifyingBackend<'_> {
     ) -> EpochOutcome {
         self.stream.begin_epoch(epoch);
         let (grid, blocks) = self.stream.blocks().expect("a block schedule");
-        let (data, threads, certifier) = (self.data, self.threads, &mut self.certifier);
-        let run = |model: &mut EngineModel<E>| {
-            block_epoch(data, model.view(), grid, blocks, gamma, lambda, threads)
-        };
-        let stats = if blocks.overlap_free(grid) {
-            std::thread::scope(|scope| {
-                let exec = scope.spawn(|| run(model));
-                certifier.certify_blocks(data, epoch, grid, blocks);
+        if blocks.overlap_free(grid) {
+            let (data, threads, certifier) = (self.data, self.threads, &mut self.certifier);
+            let stats = std::thread::scope(|scope| {
+                let exec = scope.spawn(|| {
+                    block_epoch(data, model.view(), grid, blocks, gamma, lambda, threads)
+                });
+                certifier.certify_overlap_free(epoch, grid, blocks);
                 exec.join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-        } else {
-            certifier.certify_blocks(data, epoch, grid, blocks);
-            match certifier.verdict() {
-                Verdict::Certified(_) => run(model),
-                Verdict::Refuted(w) => EpochStats {
-                    rounds: blocks.rounds(),
-                    stalls: blocks.stalls(),
-                    row_collisions: u64::from(matches!(w.axis, Axis::Row(_))),
-                    col_collisions: u64::from(matches!(w.axis, Axis::Col(_))),
-                    ..EpochStats::default()
-                },
+            });
+            return EpochOutcome::from_stats(stats);
+        }
+        // Blocks that share rounds may collide: replay the epoch round by
+        // round through the claim scan, then run it only if certified.
+        let (rounds, stalls) = (blocks.rounds(), blocks.stalls());
+        self.certifier
+            .drive_epoch(self.data, epoch, self.stream.as_mut());
+        let stats = match self.certifier.verdict() {
+            Verdict::Certified(_) => {
+                self.stream.begin_epoch(epoch);
+                sequential_epoch(self.data, model.view(), self.stream.as_mut(), gamma, lambda)
             }
+            Verdict::Refuted(w) => EpochStats {
+                rounds,
+                stalls,
+                row_collisions: u64::from(matches!(w.axis, Axis::Row(_))),
+                col_collisions: u64::from(matches!(w.axis, Axis::Col(_))),
+                ..EpochStats::default()
+            },
         };
         EpochOutcome::from_stats(stats)
     }
@@ -430,7 +439,6 @@ pub(crate) fn epoch_timing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exec::sequential_epoch;
     use crate::half::F16;
     use crate::sched::{certify, round_bound, LibmfTableStream, WavefrontStream};
 

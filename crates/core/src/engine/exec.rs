@@ -5,11 +5,12 @@
 //!
 //! * [`SequentialEngine`] — apply each update immediately in worker order
 //!   (exact for conflict-free schedules);
-//! * [`block_epoch`] — a certified block schedule run block-major on OS
-//!   threads: each block waits for the previous block on its grid row and
-//!   on its grid column ([`run_block_dag`]), which keeps every P row's and
-//!   Q column's update order, so the result is bit-identical to
-//!   [`SequentialEngine`] at any thread count;
+//! * `block_epoch` — a certified block schedule whose blocks are
+//!   overlap-free, run block-major on OS threads: each block waits for
+//!   the previous block on its grid row and on its grid column
+//!   ([`run_block_dag`]), which keeps every P row's and Q column's update
+//!   order, so the result is bit-identical to [`SequentialEngine`] at any
+//!   thread count;
 //! * [`StaleAdditiveEngine`] — the round-based Hogwild! conflict engine
 //!   (snapshot reads, additive commits) of [`crate::concurrent`];
 //! * [`ThreadedHogwildEngine`] — real OS threads racing on atomic f32
@@ -19,7 +20,6 @@
 //! also trains the biased model (`μ + b_u + b_v + p·q`), extending the
 //! same stale-read / additive-commit semantics to the bias cells.
 
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -235,24 +235,23 @@ fn split_rows<'a, E>(mut data: &'a mut [E], bounds: &[u32], k: usize) -> Vec<Row
         .collect()
 }
 
-/// One conflict-free epoch of a block schedule, bit-identical to
+/// One epoch of a block schedule whose blocks are
+/// [overlap-free](EpochBlocks::overlap_free), bit-identical to
 /// [`sequential_epoch`] over the same schedule at any `threads`.
 ///
-/// An epoch whose blocks are [overlap-free](EpochBlocks::overlap_free)
-/// runs block-major on up to `threads` OS threads (capped at the grid's
-/// row count; one thread runs inline): P is split at grid-row bounds and
-/// Q at grid-column bounds, and [`run_block_dag`] keeps every grid row's
-/// and column's blocks in round order, so every P row and Q column sees
-/// its updates in the order the round engine applies them. Each thread
-/// gathers a block's `(u, v, r)` into a reusable buffer before sweeping
-/// it. Any other conflict-free epoch runs inline, sample by sample in
-/// round-major order. The stats are the schedule's: its rounds, stalls
+/// The blocks run block-major on up to `threads` OS threads (capped at
+/// the grid's row count; one thread runs inline): P is split at grid-row
+/// bounds and Q at grid-column bounds, and [`run_block_dag`] keeps every
+/// grid row's and column's blocks in round order, so every P row and Q
+/// column sees its updates in the order the round engine applies them.
+/// Each thread gathers a block's `(u, v, r)` into a reusable buffer
+/// before sweeping it. The stats are the schedule's: its rounds, stalls
 /// and samples, and no collisions.
 ///
 /// # Panics
 ///
 /// Panics when the view carries bias terms.
-pub fn block_epoch<E: Element>(
+pub(crate) fn block_epoch<E: Element>(
     data: &CooMatrix,
     model: ModelView<'_, E>,
     grid: &BlockGrid,
@@ -271,20 +270,6 @@ pub fn block_epoch<E: Element>(
         stalls: blocks.stalls(),
         ..EpochStats::default()
     };
-    if !blocks.overlap_free(grid) {
-        let _ = blocks.round_major(grid, |_, _, i| {
-            let e = data.get(i as usize);
-            sgd_update(
-                model.p.row_mut(e.u),
-                model.q.row_mut(e.v),
-                e.r,
-                gamma,
-                lambda,
-            );
-            ControlFlow::Continue(())
-        });
-        return stats;
-    }
     let k = model.p.k() as usize;
     let rows = split_rows(model.p.as_mut_slice(), grid.row_bounds(), k);
     let cols = split_rows(model.q.as_mut_slice(), grid.col_bounds(), k);

@@ -33,8 +33,8 @@ pub use backend::{
 };
 pub use checkpoint::{load_checkpoint, save_checkpoint, ResumeState};
 pub use exec::{
-    block_epoch, engine_for, run_block_dag, sequential_epoch, stale_additive_epoch, threaded_epoch,
-    ExecEngine, SequentialEngine, StaleAdditiveEngine, ThreadedHogwildEngine,
+    engine_for, run_block_dag, sequential_epoch, stale_additive_epoch, threaded_epoch, ExecEngine,
+    SequentialEngine, StaleAdditiveEngine, ThreadedHogwildEngine,
 };
 pub use model::{BiasTerms, EngineModel, ModelView};
 pub use observer::{

@@ -26,14 +26,14 @@
 //!   [`super::drain_epoch`]) sees the same schedule.
 //!
 //! The block form is what lets a certified epoch run block-major on OS
-//! threads ([`crate::engine::exec::block_epoch`]): [`EpochBlocks::overlap_free`]
+//! threads ([`crate::engine::run_block_dag`]): [`EpochBlocks::overlap_free`]
 //! checks that no two blocks that share rounds share a grid row or
 //! column, and [`EpochBlocks::waits`] lists, for every block, the earlier
 //! blocks it must wait for.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 
 use cumf_data::CooMatrix;
 
@@ -303,12 +303,8 @@ impl EpochBlocks {
 
     /// Calls `f(round, worker, sample)` for every scheduled sample in
     /// round-major, worker-minor order — the order the round engines
-    /// execute them in — until `f` breaks.
-    pub fn round_major(
-        &self,
-        grid: &BlockGrid,
-        mut f: impl FnMut(u64, usize, u32) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
+    /// execute them in.
+    pub fn round_major(&self, grid: &BlockGrid, mut f: impl FnMut(u64, usize, u32)) {
         // Blocks live in the current round, by worker.
         let mut live: Vec<&ScheduledBlock> = Vec::with_capacity(self.workers());
         let mut next = 0;
@@ -322,13 +318,13 @@ impl EpochBlocks {
             if live.is_empty() {
                 match self.blocks.get(next) {
                     Some(b) => round = b.start,
-                    None => return ControlFlow::Continue(()),
+                    None => return,
                 }
                 continue;
             }
             for b in &live {
                 let j = (round - b.start) as usize;
-                f(round, b.worker as usize, grid.cell(b.cell)[j])?;
+                f(round, b.worker as usize, grid.cell(b.cell)[j]);
             }
             round += 1;
             live.retain(|b| b.end() > round);
@@ -507,9 +503,8 @@ pub(crate) fn assert_matches_oracle(
     let stalls = want.iter().filter(|(_, _, i)| *i == StreamItem::Stall);
     assert_eq!(epoch.stalls() as usize, stalls.count());
     let mut samples = Vec::new();
-    let _ = epoch.round_major(&grid, |t, w, s| {
+    epoch.round_major(&grid, |t, w, s| {
         samples.push((t, w, StreamItem::Sample(s as usize)));
-        ControlFlow::Continue(())
     });
     let want_samples: Vec<_> = want
         .iter()
@@ -619,10 +614,7 @@ mod tests {
             ]
         );
         let mut order = Vec::new();
-        let _ = e.round_major(&grid, |t, w, s| {
-            order.push((t, w, s));
-            ControlFlow::Continue(())
-        });
+        e.round_major(&grid, |t, w, s| order.push((t, w, s)));
         assert_eq!(
             order,
             [

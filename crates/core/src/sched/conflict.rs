@@ -22,26 +22,24 @@
 //! scan, the first witness and the digest fold, and is fed epoch by
 //! epoch. [`certify`] feeds it by replaying a stream round by round
 //! ([`Certifier::drive`]). The blocking policies (wavefront, LIBMF's
-//! table) also expose each epoch as a block schedule, and
-//! [`Certifier::certify_blocks`] certifies that directly: an epoch in
-//! which no two blocks that share rounds share a grid row or column cannot
-//! collide, so its samples are folded into the digest with no claim scan;
-//! any other epoch gets the per-sample scan in the same round-major order.
-//! Both paths reach [`certify`]'s verdict bit for bit.
+//! table) also expose each epoch as a block schedule: an epoch in which
+//! no two blocks that share rounds share a grid row or column cannot
+//! collide, so the certifier folds its samples into the digest straight
+//! from the blocks, with no claim scan; any other epoch gets the round
+//! replay. Both paths reach [`certify`]'s verdict bit for bit.
 //!
 //! [`crate::solver::train_resumable`] certifies a multi-worker block
 //! schedule that claims conflict-freedom epoch by epoch on the
-//! [`crate::engine::CertifyingBackend`]: a certified epoch runs
-//! block-major on OS threads while its digest is folded, a refuted epoch
-//! never runs (epochs the run skips — a resume prefix, the tail after a
-//! divergence stop — are replayed into the same certifier), so the
-//! verdict equals [`certify`]'s. A schedule that claims conflict-freedom
+//! [`crate::engine::CertifyingBackend`]: an overlap-free epoch runs
+//! block-major on OS threads while its digest is folded; any other epoch
+//! is replayed round by round first and runs sample by sample only if
+//! certified, so a refuted epoch never runs. Epochs the run skips — a
+//! resume prefix, the tail after a divergence stop — are replayed into
+//! the same certifier, so the verdict equals [`certify`]'s. A schedule that claims conflict-freedom
 //! but produces a witness is not silently serialised: the solver discards
 //! the speculative run and reruns the whole budget on the stale-additive
 //! conflict engine. [`resolve_exec_mode`] is the replay-first form of the
 //! same decision.
-
-use std::ops::ControlFlow;
 
 use cumf_data::CooMatrix;
 
@@ -220,9 +218,10 @@ impl RoundClaims {
 ///
 /// It is fed epoch by epoch, in ascending order (the digest is a fold),
 /// either round by round from [`UpdateStream::next`]
-/// ([`Certifier::drive`], the replay [`certify`] runs) or from an epoch's
-/// block schedule ([`Certifier::certify_blocks`], what the solver runs
-/// beside execution). Both reach the same verdict bit for bit.
+/// ([`Certifier::drive`], the replay [`certify`] runs) or, for an epoch
+/// whose blocks are [overlap-free](EpochBlocks::overlap_free), from its
+/// block schedule (what the solver runs beside execution). Both reach the
+/// same verdict bit for bit.
 #[derive(Debug, Clone)]
 pub struct Certifier {
     /// Counts so far; the certificate once all epochs are in.
@@ -349,95 +348,74 @@ impl Certifier {
         stream: &mut S,
         epochs: std::ops::Range<u32>,
     ) {
-        let mut exhausted = vec![false; stream.workers()];
         for epoch in epochs {
-            self.begin_epoch(epoch);
             stream.begin_epoch(epoch);
-            exhausted.fill(false);
-            let mut live = exhausted.len();
-            while live > 0 {
-                self.begin_round();
-                for (w, done) in exhausted.iter_mut().enumerate() {
-                    if *done {
-                        continue;
-                    }
-                    match stream.next(w) {
-                        StreamItem::Sample(i) => {
-                            self.claim(data, w, i);
-                            if self.is_refuted() {
-                                return;
-                            }
-                        }
-                        StreamItem::Stall => {}
-                        StreamItem::Exhausted => {
-                            *done = true;
-                            live -= 1;
-                        }
-                    }
-                }
-                self.end_round();
+            self.drive_epoch(data, epoch, stream);
+            if self.is_refuted() {
+                return;
             }
         }
     }
 
-    /// Certifies epoch `epoch` from its block schedule over `grid`, with
-    /// the verdict [`Certifier::drive`] reaches replaying it round by
-    /// round. An epoch whose blocks are
-    /// [overlap-free](EpochBlocks::overlap_free) cannot collide, so its
-    /// samples are folded into the digest in round-major order with no
-    /// claim scan; any other epoch runs the per-sample claim scan in the
-    /// same order, so its witness is the one the replay finds.
+    /// Checks epoch `epoch` of `stream`, already begun, round by round
+    /// with the per-sample claim scan, stopping at the first collision.
+    pub(crate) fn drive_epoch<S: UpdateStream + ?Sized>(
+        &mut self,
+        data: &CooMatrix,
+        epoch: u32,
+        stream: &mut S,
+    ) {
+        self.begin_epoch(epoch);
+        let mut exhausted = vec![false; stream.workers()];
+        let mut live = exhausted.len();
+        while live > 0 {
+            self.begin_round();
+            for (w, done) in exhausted.iter_mut().enumerate() {
+                if *done {
+                    continue;
+                }
+                match stream.next(w) {
+                    StreamItem::Sample(i) => {
+                        self.claim(data, w, i);
+                        if self.is_refuted() {
+                            return;
+                        }
+                    }
+                    StreamItem::Stall => {}
+                    StreamItem::Exhausted => {
+                        *done = true;
+                        live -= 1;
+                    }
+                }
+            }
+            self.end_round();
+        }
+    }
+
+    /// Certifies epoch `epoch` from its block schedule over `grid`, which
+    /// must be [overlap-free](EpochBlocks::overlap_free): such an epoch
+    /// cannot collide, so its samples are folded into the digest in
+    /// round-major order with no claim scan, reaching the verdict
+    /// [`Certifier::drive`] reaches replaying it round by round.
     ///
     /// # Panics
     ///
-    /// Panics if the epoch exceeds the round bound, or (through the claim
-    /// scan) schedules a sample out of `data`'s bounds.
-    pub fn certify_blocks(
+    /// Panics if the epoch exceeds the round bound.
+    pub(crate) fn certify_overlap_free(
         &mut self,
-        data: &CooMatrix,
         epoch: u32,
         grid: &BlockGrid,
         blocks: &EpochBlocks,
     ) {
+        debug_assert!(blocks.overlap_free(grid));
         self.begin_epoch(epoch);
-        if !blocks.overlap_free(grid) {
-            return self.scan_blocks(data, grid, blocks);
-        }
         let rounds = blocks.rounds();
         self.check_rounds(rounds);
-        let _ = blocks.round_major(grid, |round, worker, sample| {
+        blocks.round_major(grid, |round, worker, sample| {
             self.round = round;
             self.fold(worker, sample as usize);
-            ControlFlow::Continue(())
         });
         self.cert.rounds += rounds;
-    }
-
-    /// The per-sample claim scan over a block schedule, round by round
-    /// (empty rounds included), stopping at the first witness.
-    fn scan_blocks(&mut self, data: &CooMatrix, grid: &BlockGrid, blocks: &EpochBlocks) {
-        self.begin_round();
-        let flow = blocks.round_major(grid, |round, worker, sample| {
-            while self.round < round {
-                self.end_round();
-                self.begin_round();
-            }
-            self.claim(data, worker, sample as usize);
-            if self.is_refuted() {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        if flow.is_break() {
-            return;
-        }
-        let rounds = blocks.rounds();
-        while self.round + 1 < rounds {
-            self.end_round();
-            self.begin_round();
-        }
-        self.end_round();
     }
 
     /// The verdict over every epoch fed so far: the first witness, or the

@@ -22,7 +22,6 @@
 //!   downgraded to sequential execution, and explicit mode overrides
 //!   skip certification entirely.
 
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cumf_sgd::core::concurrent::UPDATE_PATHS;
@@ -202,12 +201,11 @@ fn measured_block_dag(
             vec![0u64; data.cols() as usize],
         );
         let mut want = vec![(0u64, 0u64); data.nnz()];
-        let _ = blocks.round_major(grid, |_, _, i| {
+        blocks.round_major(grid, |_, _, i| {
             let e = data.get(i as usize);
             let (r, c) = (&mut row_seq[e.u as usize], &mut col_seq[e.v as usize]);
             want[i as usize] = (*r, *c);
             (*r, *c) = (*r + 1, *c + 1);
-            ControlFlow::Continue(())
         });
         let (p, q) = (counters(data.rows()), counters(data.cols()));
         let (rows, cols) = (
