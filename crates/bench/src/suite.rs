@@ -447,16 +447,17 @@ fn serve_sim_p99_ms(quick: bool) -> f64 {
     serve_report(quick).p(0.99) * 1e3
 }
 
+/// Full-quality answers as the service scores them: every Q-shard's
+/// interleaved scan merged into one top-10.
 fn serve_topn_queries_per_sec(quick: bool) -> f64 {
     let model = cumf_serve::chaos::synth_model(crate::SEED, 4, 2);
-    let q = model.q_matrix();
+    let shards: Vec<u32> = (0..model.q_shards()).collect();
     let queries: u64 = if quick { 2_000 } else { 10_000 };
     let users = model.users();
     let t0 = Instant::now();
     for i in 0..queries {
         let user = (i % users as u64) as u32;
-        let row = model.user_row(user);
-        std::hint::black_box(cumf_serve::top_n_blocked(row, q, 0..q.rows(), 10, 64));
+        std::hint::black_box(model.top_n(user, std::hint::black_box(&shards), 10));
     }
     queries as f64 / t0.elapsed().as_secs_f64().max(1e-12)
 }

@@ -79,22 +79,26 @@ impl ServeChaosReport {
     }
 }
 
+/// Users × items of [`synth_model`].
+pub const SYNTH_SHAPE: (u32, u32) = (240, 180);
+
 /// Builds the serving model used by chaos, the CLI fallback, and the
 /// benches: planted synth factors (the "trained" model) sharded on a
 /// `p_shards × q_shards` grid, with training-set item degrees as the
 /// popularity prior.
 pub fn synth_model(seed: u64, p_shards: u32, q_shards: u32) -> ShardedModel<f32> {
+    let (m, n) = SYNTH_SHAPE;
     let data = generate(&SynthConfig {
-        m: 240,
-        n: 180,
+        m,
+        n,
         k_true: 8,
         train_samples: 12_000,
         test_samples: 1_000,
         seed,
         ..SynthConfig::default()
     });
-    let p = FactorMatrix::<f32>::from_f32_slice(240, 8, &data.p_true);
-    let q = FactorMatrix::<f32>::from_f32_slice(180, 8, &data.q_true);
+    let p = FactorMatrix::<f32>::from_f32_slice(m, 8, &data.p_true);
+    let q = FactorMatrix::<f32>::from_f32_slice(n, 8, &data.q_true);
     let pop: Vec<f32> = data.train.col_degrees().iter().map(|&d| d as f32).collect();
     ShardedModel::new(p, q, p_shards, q_shards, Some(pop))
 }

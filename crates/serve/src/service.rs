@@ -31,7 +31,6 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
 use cumf_core::digest::fnv1a64;
 use cumf_core::faults::{RecoveryKind, RecoveryLog, RetryPolicy};
@@ -44,7 +43,7 @@ use crate::cache::ResultCache;
 use crate::hist::LatencyHistogram;
 use crate::policy::{BreakerState, CircuitBreaker, HedgeTracker, TokenBucket};
 use crate::shard::{ShardId, ShardedModel};
-use crate::topn::{top_n_blocked, top_n_popular, Scored, TopAcc, SCAN_BLOCK};
+use crate::topn::{top_n_popular, Scored};
 
 /// Which overload-control mechanisms are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -882,23 +881,6 @@ impl<'m, E: Element> Sim<'m, E> {
         }
     }
 
-    /// Top-N over the item ranges whose Q-shards answered.
-    fn scan_ranges(&self, user: u32, ranges: &[Range<u32>]) -> Vec<Scored> {
-        let mut acc = TopAcc::new(self.cfg.top_n);
-        for r in ranges {
-            for s in top_n_blocked(
-                self.model.user_row(user),
-                self.model.q_matrix(),
-                r.clone(),
-                self.cfg.top_n,
-                SCAN_BLOCK,
-            ) {
-                acc.offer(s.item, s.score);
-            }
-        }
-        acc.into_sorted()
-    }
-
     fn finalize(&mut self, req: usize, by_deadline: bool) {
         if self.requests[req].finalized {
             return;
@@ -912,23 +894,23 @@ impl<'m, E: Element> Sim<'m, E> {
         }
 
         let p_ok = self.requests[req].fetches[0].status == FetchStatus::Ok;
-        let ok_ranges: Vec<Range<u32>> = self.requests[req].fetches[1..]
+        let ok_shards: Vec<u32> = self.requests[req].fetches[1..]
             .iter()
             .enumerate()
             .filter(|(_, f)| f.status == FetchStatus::Ok)
-            .map(|(bj, _)| self.model.item_range(bj as u32))
+            .map(|(bj, _)| bj as u32)
             .collect();
-        let full = p_ok && ok_ranges.len() == self.model.q_shards() as usize;
+        let full = p_ok && ok_shards.len() == self.model.q_shards() as usize;
 
         let degrade: Option<DegradeKind>;
         let result: Vec<Scored>;
         if full {
             degrade = None;
-            result = self.scan_ranges(user, &ok_ranges);
+            result = self.model.top_n(user, &ok_shards, self.cfg.top_n);
             self.cache.put(user, self.model.version(), result.clone());
-        } else if p_ok && !ok_ranges.is_empty() {
+        } else if p_ok && !ok_shards.is_empty() {
             degrade = Some(DegradeKind::PartialItems);
-            result = self.scan_ranges(user, &ok_ranges);
+            result = self.model.top_n(user, &ok_shards, self.cfg.top_n);
         } else if let Some((_, stale)) = self.cache.get_stale(user) {
             degrade = Some(DegradeKind::StaleCache);
             result = stale.to_vec();

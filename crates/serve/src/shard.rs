@@ -14,6 +14,8 @@
 use cumf_core::partition::{segment_of, segment_range};
 use cumf_core::{Element, FactorMatrix};
 
+use crate::topn::{InterleavedShard, Scored, TopAcc};
+
 /// Opaque shard identifier: `0..p_shards` are P-shards (user factors),
 /// `p_shards..p_shards + q_shards` are Q-shards (item factors).
 pub type ShardId = usize;
@@ -25,6 +27,8 @@ pub type ShardId = usize;
 pub struct ShardedModel<E: Element> {
     p: FactorMatrix<E>,
     q: FactorMatrix<E>,
+    /// Q again, one item-interleaved copy per Q-shard (what scoring reads).
+    q_lanes: Vec<InterleavedShard<E>>,
     p_shards: u32,
     q_shards: u32,
     version: u64,
@@ -36,7 +40,7 @@ impl<E: Element> ShardedModel<E> {
     ///
     /// `popularity` is the per-item prior used for degraded responses
     /// (typically training-set item degrees); `None` falls back to a
-    /// uniform prior. Panics when the grid exceeds the matrix or the
+    /// uniform prior. Panics when [`check_grid`] rejects the grid or the
     /// prior length disagrees with the item count.
     pub fn new(
         p: FactorMatrix<E>,
@@ -45,13 +49,9 @@ impl<E: Element> ShardedModel<E> {
         q_shards: u32,
         popularity: Option<Vec<f32>>,
     ) -> Self {
-        assert!(p_shards > 0 && q_shards > 0, "grid must be at least 1x1");
-        assert!(
-            p_shards <= p.rows() && q_shards <= q.rows(),
-            "grid {p_shards}x{q_shards} exceeds model {}x{}",
-            p.rows(),
-            q.rows()
-        );
+        if let Err(e) = check_grid(p_shards, q_shards, p.rows(), q.rows()) {
+            panic!("{e}");
+        }
         assert_eq!(p.k(), q.k(), "P and Q must share k");
         let popularity = match popularity {
             Some(pop) => {
@@ -60,9 +60,13 @@ impl<E: Element> ShardedModel<E> {
             }
             None => vec![1.0; q.rows() as usize],
         };
+        let q_lanes = (0..q_shards)
+            .map(|bj| InterleavedShard::new(&q, segment_range(q.rows(), q_shards, bj)))
+            .collect();
         ShardedModel {
             p,
             q,
+            q_lanes,
             p_shards,
             q_shards,
             version: 1,
@@ -139,7 +143,20 @@ impl<E: Element> ShardedModel<E> {
         self.p.row(user)
     }
 
-    /// The full item factor matrix (scoring reads Q-shard ranges of it).
+    /// Exact top-`n` items for `user` over the Q-shards `shards`
+    /// (indices `0..q_shards()`, in any order): the same list, bit for
+    /// bit, as [`crate::top_n_naive`] over those shards' item ranges
+    /// merged.
+    pub fn top_n(&self, user: u32, shards: &[u32], n: usize) -> Vec<Scored> {
+        let row: Vec<f32> = self.user_row(user).iter().map(|x| x.to_f32()).collect();
+        let mut acc = TopAcc::new(n);
+        for &bj in shards {
+            self.q_lanes[bj as usize].scan(&row, &mut acc);
+        }
+        acc.into_sorted()
+    }
+
+    /// The full item factor matrix, row-major.
     pub fn q_matrix(&self) -> &FactorMatrix<E> {
         &self.q
     }
@@ -159,6 +176,20 @@ impl<E: Element> ShardedModel<E> {
     pub fn bump_version(&mut self) {
         self.version += 1;
     }
+}
+
+/// Checks that a `p_shards × q_shards` grid fits a `users × items`
+/// model: at least 1×1, and no more shards than rows on either side.
+pub fn check_grid(p_shards: u32, q_shards: u32, users: u32, items: u32) -> Result<(), String> {
+    if p_shards == 0 || q_shards == 0 {
+        return Err("grid must be at least 1x1".into());
+    }
+    if p_shards > users || q_shards > items {
+        return Err(format!(
+            "grid {p_shards}x{q_shards} exceeds model {users}x{items}"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -810,17 +810,21 @@ fn parse_shard_grid(s: &str) -> Result<(u32, u32), String> {
 /// factors, Zipf users, deadlines, hedging, admission control — run on
 /// sim time, so the whole latency table is bit-deterministic per seed.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    use cumf_sgd::serve::{
-        chaos::synth_model, run_closed_loop, OverloadPolicy, ServeConfig, ServeFault, ShardedModel,
-    };
+    use cumf_sgd::serve::chaos::{synth_model, SYNTH_SHAPE};
+    use cumf_sgd::serve::shard::check_grid;
+    use cumf_sgd::serve::{run_closed_loop, OverloadPolicy, ServeConfig, ServeFault, ShardedModel};
     let seed: u64 = get_parse(flags, "seed", 42)?;
     let (p_shards, q_shards) = parse_shard_grid(get(flags, "shards", "4x2"))?;
     let model: ShardedModel<f32> = match flags.get("model") {
         Some(path) => {
             let m: Model<f32> = load_model_file(path).map_err(|e| e.to_string())?;
+            check_grid(p_shards, q_shards, m.p.rows(), m.q.rows())?;
             ShardedModel::new(m.p, m.q, p_shards, q_shards, None)
         }
-        None => synth_model(seed, p_shards, q_shards),
+        None => {
+            check_grid(p_shards, q_shards, SYNTH_SHAPE.0, SYNTH_SHAPE.1)?;
+            synth_model(seed, p_shards, q_shards)
+        }
     };
     let mut cfg = ServeConfig {
         requests: get_parse(flags, "requests", 2000)?,

@@ -14,14 +14,21 @@
 //!   controller, deadline finalization, timeouts) disabled returns
 //!   late, demonstrating the deadline bound is earned, not incidental;
 //! * the blocked top-N scorer is bitwise consistent with the naive
-//!   scan at n in {8, 64, 128} for both f32 and binary16 factors.
+//!   scan at n in {8, 64, 128} for both f32 and binary16 factors;
+//! * the model's interleaved per-shard scorer, which the service runs,
+//!   returns the naive scan's list bit for bit, for the full item space
+//!   and for every subset of Q-shards a degraded request can be left
+//!   with, on grids whose shard boundaries fall inside lane groups;
+//! * `cumf serve` rejects a shard grid larger than the model with a
+//!   typed error, not a panic.
 
 use cumf_sgd::core::{Element, FactorMatrix, F16};
 use cumf_sgd::rng::{ChaCha8Rng, Rng, SeedableRng};
 use cumf_sgd::serve::chaos::synth_model;
+use cumf_sgd::serve::topn::TopAcc;
 use cumf_sgd::serve::{
     run_closed_loop, top_n_blocked, top_n_naive, OverloadPolicy, ResultCache, Scored, ServeConfig,
-    ServeFault,
+    ServeFault, ShardedModel,
 };
 
 // ------------------------------------------------------------- LRU oracle
@@ -272,6 +279,12 @@ fn factors<E: Element>(rows: u32, k: u32, seed: u64) -> FactorMatrix<E> {
     FactorMatrix::from_f32_slice(rows, k, &vals)
 }
 
+/// Item ids and score bits, in order (`f32` `==` would treat
+/// `-0.0 == 0.0` and fail on equal NaNs).
+fn bits(list: &[Scored]) -> Vec<(u32, u32)> {
+    list.iter().map(|s| (s.item, s.score.to_bits())).collect()
+}
+
 fn assert_blocked_matches_naive<E: Element>(seed: u64) {
     let items: u32 = 300;
     let k: u32 = 16;
@@ -286,7 +299,11 @@ fn assert_blocked_matches_naive<E: Element>(seed: u64) {
                 // Bitwise equality: same items, same score bits, same
                 // order — the blocked scan is a pure reassociation-free
                 // partition of the naive one.
-                assert_eq!(blocked, naive, "n={n} block={block} user={user}");
+                assert_eq!(
+                    bits(&blocked),
+                    bits(&naive),
+                    "n={n} block={block} user={user}"
+                );
             }
         }
     }
@@ -338,4 +355,88 @@ fn blocked_scorer_is_bitwise_consistent_with_naive_f32() {
 #[test]
 fn blocked_scorer_is_bitwise_consistent_with_naive_f16() {
     assert_blocked_matches_naive::<F16>(11);
+}
+
+/// `ShardedModel::top_n` — what a full or `PartialItems` answer is —
+/// against the naive scan merged over the same shards: every non-empty
+/// subset of Q-shards, in ascending and in reversed order, for sampled
+/// users, on grids whose item boundaries fall inside lane groups.
+fn assert_sharded_matches_naive<E: Element>(seed: u64) {
+    let (users, items) = (12u32, 250u32);
+    for (grid, k) in [((4u32, 2u32), 32u32), ((3, 3), 31), ((1, 7), 33)] {
+        let p: FactorMatrix<E> = factors(users, k, seed);
+        let q: FactorMatrix<E> = factors(items, k, seed ^ 0xABCD);
+        let model = ShardedModel::new(p.clone(), q.clone(), grid.0, grid.1, None);
+        for user in (0..users).step_by(5) {
+            let row = p.row(user);
+            for n in [1usize, 10, items as usize + 5] {
+                let full: Vec<u32> = (0..grid.1).collect();
+                assert_eq!(
+                    bits(&model.top_n(user, &full, n)),
+                    bits(&top_n_naive(row, &q, 0..items, n)),
+                    "full answer: grid {grid:?} user {user} n {n}"
+                );
+                for mask in 1u32..(1 << grid.1) {
+                    let answered: Vec<u32> = (0..grid.1).filter(|bj| mask >> bj & 1 == 1).collect();
+                    let mut acc = TopAcc::new(n);
+                    for &bj in &answered {
+                        for s in top_n_naive(row, &q, model.item_range(bj), n) {
+                            acc.offer(s.item, s.score);
+                        }
+                    }
+                    let merged = acc.into_sorted();
+                    let mut reversed = answered.clone();
+                    reversed.reverse();
+                    for order in [&answered, &reversed] {
+                        assert_eq!(
+                            bits(&model.top_n(user, order, n)),
+                            bits(&merged),
+                            "shards {order:?}: grid {grid:?} user {user} n {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sharded_scorer_matches_naive_merge_f32() {
+    assert_sharded_matches_naive::<f32>(23);
+}
+
+#[test]
+fn sharded_scorer_matches_naive_merge_f16() {
+    assert_sharded_matches_naive::<F16>(29);
+}
+
+#[test]
+fn serve_cli_rejects_a_grid_larger_than_the_model() {
+    let dir = std::env::temp_dir().join("cumf_serve_cli_grid");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_file = dir.join("small.cmfm");
+    let small = cumf_sgd::core::Model::new(factors::<f32>(6, 4, 1), factors::<f32>(5, 4, 2));
+    cumf_sgd::core::save_model_file(&model_file, &small).unwrap();
+    let cases: [(&[&str], &str); 3] = [
+        (&["--shards", "500x2"], "grid 500x2 exceeds model 240x180"),
+        (&["--shards", "2x181"], "grid 2x181 exceeds model 240x180"),
+        (
+            &["--shards", "2x6", "--model", model_file.to_str().unwrap()],
+            "grid 2x6 exceeds model 6x5",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cumf"))
+            .arg("serve")
+            .args(args)
+            .args(["--requests", "10"])
+            .output()
+            .expect("cumf binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
