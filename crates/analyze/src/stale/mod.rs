@@ -16,7 +16,7 @@
 //!   model ([`models::StaleModel`]), panicking on drift (a path with no
 //!   model, an unrecognised footprint/sync shape, or a claimed τ the IR
 //!   does not reproduce). The partitioned path is additionally
-//!   cross-checked against a real [`cumf_core::partition::Grid`] wave
+//!   cross-checked against a real [`cumf_core::sched::BlockGrid`] wave
 //!   schedule: every concurrently-scheduled block pair must be Eq. 6
 //!   independent with disjoint row/column ranges. The block-DAG path is
 //!   cross-checked the same way against real wavefront and LIBMF block
@@ -37,11 +37,14 @@ pub mod models;
 
 pub use models::{BarrierKind, StaleModel};
 
+use std::ops::Range;
+
 use crate::mc::{self, CheckOutcome};
 use crate::{Replay, MC_STATE_BUDGET};
 use cumf_core::concurrent::UPDATE_PATHS;
 use cumf_core::lrate::Schedule;
-use cumf_core::partition::{schedule_epoch, Grid};
+use cumf_core::partition::{independent, schedule_epoch};
+use cumf_core::sched::BlockGrid;
 use cumf_core::stale::{
     certify_staleness, staleness_bound, Footprint, PathSpec, StaleCert, SyncEdge, SyncKind,
 };
@@ -204,30 +207,31 @@ fn cross_check_grid_independence() {
             coo.push(u, v, 1.0);
         }
     }
-    let grid = Grid::build(&coo, 2, 3);
+    let grid = BlockGrid::build(&coo, 2, 3);
     let mut rng = ChaCha8Rng::seed_from_u64(0x57A1E);
     let waves = schedule_epoch(&grid, 2, &mut rng);
     for wave in &waves.waves {
-        let live: Vec<_> = wave.iter().flatten().collect();
-        for (i, &&a) in live.iter().enumerate() {
-            for &&b in &live[i + 1..] {
-                if !Grid::independent(a, b) {
-                    drift(&format!(
-                        "wave schedule co-ran dependent blocks {a:?} and {b:?}"
-                    ));
+        let live: Vec<u32> = wave.iter().flatten().copied().collect();
+        for (i, &a) in live.iter().enumerate() {
+            for &b in &live[i + 1..] {
+                let ((ra, ca), (rb, cb)) = (grid.cell_pos(a), grid.cell_pos(b));
+                if !independent((ra, ca), (rb, cb)) {
+                    drift(&format!("wave schedule co-ran dependent cells {a} and {b}"));
                 }
-                let rows_disjoint = grid.row_range(a.bi).end <= grid.row_range(b.bi).start
-                    || grid.row_range(b.bi).end <= grid.row_range(a.bi).start;
-                let cols_disjoint = grid.col_range(a.bj).end <= grid.col_range(b.bj).start
-                    || grid.col_range(b.bj).end <= grid.col_range(a.bj).start;
-                if !rows_disjoint || !cols_disjoint {
+                if !disjoint(grid.row_range(ra), grid.row_range(rb))
+                    || !disjoint(grid.col_range(ca), grid.col_range(cb))
+                {
                     drift(&format!(
-                        "independent blocks {a:?} and {b:?} share coordinate ranges"
+                        "independent cells {a} and {b} share coordinate ranges"
                     ));
                 }
             }
         }
     }
+}
+
+fn disjoint(x: Range<u32>, y: Range<u32>) -> bool {
+    x.end <= y.start || y.end <= x.start
 }
 
 /// Validates the `block-dag` annotation against real block schedules
@@ -237,8 +241,6 @@ fn cross_check_grid_independence() {
 fn cross_check_block_schedules() {
     crate::prover::for_each_block_schedule(|schedule, epoch, grid, blocks| {
         let blocks = blocks.blocks();
-        let disjoint =
-            |x: std::ops::Range<u32>, y: std::ops::Range<u32>| x.end <= y.start || y.end <= x.start;
         for (i, a) in blocks.iter().enumerate() {
             for b in blocks[i + 1..].iter().take_while(|b| b.start < a.end()) {
                 let ((ra, ca), (rb, cb)) = (grid.cell_pos(a.cell), grid.cell_pos(b.cell));

@@ -379,7 +379,7 @@ impl TrainSupervisor {
             let fatal: FatalFlag = FatalFlag::default();
             let inner = PartitionedBackend::new(
                 train,
-                grid.clone(),
+                &grid,
                 gpus_alive,
                 config.workers_per_gpu,
                 config.batch,
@@ -560,7 +560,7 @@ fn validate_solver(train: &CooMatrix, config: &SolverConfig) -> Result<(), Train
 }
 
 /// Mirrors the assertions of [`crate::multi_gpu::train_partitioned`] and
-/// [`Grid::build`].
+/// [`crate::sched::BlockGrid::build`].
 fn validate_multi_gpu(train: &CooMatrix, config: &MultiGpuConfig) -> Result<(), TrainError> {
     let fail = |m: String| Err(TrainError::InvalidConfig(m));
     if train.is_empty() {

@@ -23,8 +23,9 @@
 //! * [`stale`] — the bounded-staleness certifier: every lock-free update
 //!   path lifted into an asynchrony IR, its worst-case per-row staleness
 //!   τ bounded, and the lr·τ safety condition checked per run;
-//! * [`partition`] — §6.1's i×j workload grid, Eq. 6 independence, the
-//!   §7.5 convergence constraints, and Fig 15's feasible-order analysis;
+//! * [`partition`] — §6.1's segment rule for the i×j block grid, Eq. 6
+//!   independence, the wave scheduler, and Fig 15's feasible-order
+//!   analysis;
 //! * [`multi_gpu`] — §6's staged multi-GPU solver with transfer/compute
 //!   overlap;
 //! * [`faults`] — deterministic fault injection (device loss, transfer
@@ -88,7 +89,7 @@ pub use metrics::{rmse, updates_per_sec, Trace, TracePoint};
 pub use model_io::{load_model, load_model_file, save_model, save_model_file, Model};
 pub use multi_gpu::{train_partitioned, MultiGpuConfig, MultiGpuResult};
 pub use partition::{
-    count_feasible_orders, schedule_epoch, segment_of, segment_range, BlockId, Grid, WaveSchedule,
+    count_feasible_orders, independent, schedule_epoch, segment_of, segment_range, WaveSchedule,
 };
 pub use sched::{certify, resolve_exec_mode, ConflictCert, ConflictVerdict, ConflictWitness};
 pub use solver::{train, Scheme, SolverConfig, TimeModel, TrainResult};

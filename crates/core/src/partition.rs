@@ -1,146 +1,64 @@
 //! Workload partitioning (§6.1) and blocking convergence analysis (§7.6).
 //!
 //! For data sets exceeding device memory, cuMF_SGD divides the rating
-//! matrix into an `i × j` grid; feature matrices split into `i` P-segments
-//! and `j` Q-segments. Blocks sharing no grid row and no grid column are
-//! *independent* (Eq. 6) and can be dispatched to different GPUs.
+//! matrix into an `i × j` grid ([`BlockGrid`]); feature matrices split into
+//! `i` P-segments and `j` Q-segments. Blocks sharing no grid row and no
+//! grid column are *independent* (Eq. 6) and can be dispatched to
+//! different GPUs.
 //!
-//! This module owns the grid, the independent-block scheduler, the
-//! convergence constraints of §7.5
-//! (`s ≪ min(⌊m/i⌋, ⌊n/j⌋)`, empirically `s < min/20`), and the
-//! feasible-update-order enumeration behind Fig 15.
+//! This module owns the segment rule every grid is cut by
+//! ([`segment_of`], [`segment_range`]), the independence predicate, the
+//! independent-block wave scheduler, and the feasible-update-order
+//! enumeration behind Fig 15.
+
+use std::ops::Range;
 
 use cumf_rng::seq::SliceRandom;
 use cumf_rng::Rng;
 
-use cumf_data::CooMatrix;
+use crate::sched::BlockGrid;
 
-/// Grid coordinates of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlockId {
-    /// Grid row (P-segment index), `0..i`.
-    pub bi: u32,
-    /// Grid column (Q-segment index), `0..j`.
-    pub bj: u32,
-}
-
-/// An `i × j` partition of a rating matrix.
-#[derive(Debug, Clone)]
-pub struct Grid {
-    i: u32,
-    j: u32,
-    m: u32,
-    n: u32,
-    /// Sample indices per block, row-major (`bi * j + bj`).
-    blocks: Vec<Vec<usize>>,
-}
-
-impl Grid {
-    /// Partitions `data` into `i × j` equal coordinate ranges.
-    pub fn build(data: &CooMatrix, i: u32, j: u32) -> Self {
-        assert!(i > 0 && j > 0, "grid must be at least 1x1");
-        assert!(
-            i <= data.rows() && j <= data.cols(),
-            "grid {i}x{j} exceeds matrix {}x{}",
-            data.rows(),
-            data.cols()
-        );
-        let m = data.rows();
-        let n = data.cols();
-        let mut blocks = vec![Vec::new(); (i * j) as usize];
-        for (idx, e) in data.iter().enumerate() {
-            let bi = ((e.u as u64 * i as u64) / m as u64).min(i as u64 - 1) as u32;
-            let bj = ((e.v as u64 * j as u64) / n as u64).min(j as u64 - 1) as u32;
-            blocks[(bi * j + bj) as usize].push(idx);
-        }
-        Grid { i, j, m, n, blocks }
-    }
-
-    /// Grid rows.
-    pub fn i(&self) -> u32 {
-        self.i
-    }
-
-    /// Grid columns.
-    pub fn j(&self) -> u32 {
-        self.j
-    }
-
-    /// Total number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Sample indices of a block.
-    pub fn block(&self, id: BlockId) -> &[usize] {
-        &self.blocks[(id.bi * self.j + id.bj) as usize]
-    }
-
-    /// All block ids in row-major order.
-    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        (0..self.i).flat_map(move |bi| (0..self.j).map(move |bj| BlockId { bi, bj }))
-    }
-
-    /// Row (user) range of grid row `bi`.
-    pub fn row_range(&self, bi: u32) -> std::ops::Range<u32> {
-        range_of(self.m, self.i, bi)
-    }
-
-    /// Column (item) range of grid column `bj`.
-    pub fn col_range(&self, bj: u32) -> std::ops::Range<u32> {
-        range_of(self.n, self.j, bj)
-    }
-
-    /// Eq. 6: two blocks can update concurrently iff they share neither a
-    /// grid row nor a grid column.
-    pub fn independent(a: BlockId, b: BlockId) -> bool {
-        a.bi != b.bi && a.bj != b.bj
-    }
-
-    /// §7.5: the Hogwild! convergence constraint inside one block —
-    /// `s ≪ min(⌊m/i⌋, ⌊n/j⌋)`, with the paper's empirical factor of 20.
-    pub fn hogwild_safe_workers(&self) -> u32 {
-        ((self.m / self.i).min(self.n / self.j) / 20).max(1)
-    }
-
-    /// Whether `s` workers per block satisfy the §7.5 convergence rule.
-    pub fn convergence_ok(&self, s: u32) -> bool {
-        s < (self.m / self.i).min(self.n / self.j) / 20
-    }
-}
-
-fn range_of(total: u32, parts: u32, idx: u32) -> std::ops::Range<u32> {
-    // Matches the block assignment rule `bi = u*i/m`: boundaries at
-    // ceil(b*m/i).
-    let start = ((idx as u64 * total as u64).div_ceil(parts as u64)) as u32;
-    let end = (((idx as u64 + 1) * total as u64).div_ceil(parts as u64)) as u32;
-    start..end.max(start)
-}
-
-/// Coordinate range of segment `idx` when `total` coordinates split into
-/// `parts` equal segments — the exact boundary rule of
-/// [`Grid::row_range`]/[`Grid::col_range`] (`bi = u*i/m`, boundaries at
-/// `ceil(b*total/parts)`). Public so downstream layers (the serving
-/// shards) can reproduce the grid's factor-segment layout without
-/// holding rating data.
-pub fn segment_range(total: u32, parts: u32, idx: u32) -> std::ops::Range<u32> {
-    assert!(parts > 0 && idx < parts, "segment {idx} out of {parts}");
-    range_of(total, parts, idx)
-}
-
-/// Segment index of coordinate `x` under the same assignment rule as
-/// [`Grid::build`] (`bi = x*parts/total`, clamped to the last segment).
+/// Segment index of coordinate `x` when `total` coordinates split into
+/// `parts` segments: `x · parts / total`, clamped to the last segment.
+/// Public so downstream layers (the serving shards) reproduce the grid's
+/// factor-segment layout without holding rating data.
 pub fn segment_of(total: u32, parts: u32, x: u32) -> u32 {
     assert!(parts > 0 && total > 0, "empty segmentation");
-    ((x as u64 * parts as u64) / total as u64).min(parts as u64 - 1) as u32
+    bucket(total, parts, x)
+}
+
+/// Coordinate range of segment `idx` under [`segment_of`]: segment `b`
+/// starts at `⌈b · total / parts⌉`.
+pub fn segment_range(total: u32, parts: u32, idx: u32) -> Range<u32> {
+    assert!(parts > 0 && idx < parts, "segment {idx} out of {parts}");
+    boundary(total, parts, idx)..boundary(total, parts, idx + 1)
+}
+
+/// [`segment_of`] without its check, for per-sample loops that check once.
+#[inline]
+pub(crate) fn bucket(total: u32, parts: u32, x: u32) -> u32 {
+    let parts = u64::from(parts);
+    ((u64::from(x) * parts) / u64::from(total)).min(parts - 1) as u32
+}
+
+/// First coordinate of segment `b`; `total` for `b = parts`.
+pub(crate) fn boundary(total: u32, parts: u32, b: u32) -> u32 {
+    (u64::from(b) * u64::from(total)).div_ceil(u64::from(parts)) as u32
+}
+
+/// Eq. 6: blocks at grid positions `a` and `b` (`(grid row, grid col)`)
+/// can update concurrently iff they share neither a grid row nor a grid
+/// column.
+pub fn independent(a: (u32, u32), b: (u32, u32)) -> bool {
+    a.0 != b.0 && a.1 != b.1
 }
 
 /// A schedule of block *waves*: in each wave, `gpus` mutually independent
 /// blocks run concurrently (one per GPU); `None` means that GPU idles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaveSchedule {
-    /// `waves[w][g]` = block assigned to GPU `g` in wave `w`.
-    pub waves: Vec<Vec<Option<BlockId>>>,
+    /// `waves[w][g]` = grid cell assigned to GPU `g` in wave `w`.
+    pub waves: Vec<Vec<Option<u32>>>,
 }
 
 impl WaveSchedule {
@@ -166,23 +84,24 @@ impl WaveSchedule {
 
 /// Builds one epoch's wave schedule: step 2 of §6.1 — "when a GPU is idle,
 /// randomly select one matrix block from those independent blocks". Every
-/// block is scheduled exactly once per epoch.
-pub fn schedule_epoch<R: Rng>(grid: &Grid, gpus: u32, rng: &mut R) -> WaveSchedule {
+/// cell is scheduled exactly once per epoch.
+pub fn schedule_epoch<R: Rng>(grid: &BlockGrid, gpus: u32, rng: &mut R) -> WaveSchedule {
     assert!(gpus > 0);
-    let mut remaining: Vec<BlockId> = grid.block_ids().collect();
+    let mut remaining: Vec<u32> = (0..grid.cells() as u32).collect();
     remaining.shuffle(rng);
     let mut waves = Vec::new();
     while !remaining.is_empty() {
-        let mut wave: Vec<Option<BlockId>> = Vec::with_capacity(gpus as usize);
-        let mut chosen: Vec<BlockId> = Vec::with_capacity(gpus as usize);
+        let mut wave: Vec<Option<u32>> = Vec::with_capacity(gpus as usize);
+        let mut chosen: Vec<(u32, u32)> = Vec::with_capacity(gpus as usize);
         for _ in 0..gpus {
-            let pick = remaining
-                .iter()
-                .position(|&b| chosen.iter().all(|&c| Grid::independent(b, c)));
+            let pick = remaining.iter().position(|&b| {
+                let at = grid.cell_pos(b);
+                chosen.iter().all(|&c| independent(at, c))
+            });
             match pick {
                 Some(pos) => {
                     let b = remaining.swap_remove(pos);
-                    chosen.push(b);
+                    chosen.push(grid.cell_pos(b));
                     wave.push(Some(b));
                 }
                 None => wave.push(None),
@@ -208,12 +127,10 @@ pub fn schedule_epoch<R: Rng>(grid: &Grid, gpus: u32, rng: &mut R) -> WaveSchedu
 pub fn count_feasible_orders(a: u32, s: u32) -> (u64, u64) {
     assert!(a >= 1 && s >= 1);
     assert!(a <= 3, "enumeration is factorial; a <= 3 only");
-    let blocks: Vec<BlockId> = (0..a)
-        .flat_map(|bi| (0..a).map(move |bj| BlockId { bi, bj }))
-        .collect();
+    let mut blocks: Vec<(u32, u32)> = (0..a).flat_map(|r| (0..a).map(move |c| (r, c))).collect();
     let mut feasible = 0u64;
     let mut total = 0u64;
-    permute(&mut blocks.clone(), 0, &mut |perm| {
+    permute(&mut blocks, 0, &mut |perm| {
         total += 1;
         if order_is_feasible(perm, s as usize) {
             feasible += 1;
@@ -222,7 +139,7 @@ pub fn count_feasible_orders(a: u32, s: u32) -> (u64, u64) {
     (feasible, total)
 }
 
-fn permute<F: FnMut(&[BlockId])>(items: &mut [BlockId], at: usize, f: &mut F) {
+fn permute<F: FnMut(&[(u32, u32)])>(items: &mut [(u32, u32)], at: usize, f: &mut F) {
     if at == items.len() {
         f(items);
         return;
@@ -240,14 +157,14 @@ fn permute<F: FnMut(&[BlockId])>(items: &mut [BlockId], at: usize, f: &mut F) {
 /// are unit duration, all running blocks finish together at wave end.
 /// The order is feasible iff every wave (except possibly the last) keeps
 /// all `s` workers busy and blocks start exactly in the given order.
-fn order_is_feasible(order: &[BlockId], s: usize) -> bool {
+fn order_is_feasible(order: &[(u32, u32)], s: usize) -> bool {
     let mut next = 0;
     while next < order.len() {
         // Start as many blocks of the order prefix as possible this wave.
-        let mut running: Vec<BlockId> = Vec::with_capacity(s);
+        let mut running: Vec<(u32, u32)> = Vec::with_capacity(s);
         while running.len() < s && next < order.len() {
             let candidate = order[next];
-            if running.iter().all(|&r| Grid::independent(candidate, r)) {
+            if running.iter().all(|&r| independent(candidate, r)) {
                 running.push(candidate);
                 next += 1;
             } else {
@@ -270,6 +187,7 @@ fn order_is_feasible(order: &[BlockId], s: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cumf_data::CooMatrix;
     use cumf_rng::ChaCha8Rng;
     use cumf_rng::SeedableRng;
 
@@ -282,86 +200,28 @@ mod tests {
     }
 
     #[test]
-    fn grid_covers_all_samples() {
-        let data = matrix(100, 80, 5000);
-        let grid = Grid::build(&data, 4, 5);
-        let total: usize = grid.block_ids().map(|b| grid.block(b).len()).sum();
-        assert_eq!(total, 5000);
-        assert_eq!(grid.block_count(), 20);
-    }
-
-    #[test]
-    fn blocks_respect_ranges() {
-        let data = matrix(100, 80, 5000);
-        let grid = Grid::build(&data, 4, 5);
-        for id in grid.block_ids() {
-            let rr = grid.row_range(id.bi);
-            let cr = grid.col_range(id.bj);
-            for &s in grid.block(id) {
-                let e = data.get(s);
-                assert!(rr.contains(&e.u), "sample row {} not in {rr:?}", e.u);
-                assert!(cr.contains(&e.v), "sample col {} not in {cr:?}", e.v);
-            }
-        }
-    }
-
-    #[test]
-    fn ranges_tile_the_matrix() {
-        let grid = Grid::build(&matrix(103, 77, 100), 4, 3);
-        let mut covered = 0;
-        for bi in 0..4 {
-            covered += grid.row_range(bi).len();
-        }
-        assert_eq!(covered, 103);
-        let mut covered = 0;
-        for bj in 0..3 {
-            covered += grid.col_range(bj).len();
-        }
-        assert_eq!(covered, 77);
-        // Ranges are contiguous and ordered.
-        assert_eq!(grid.row_range(0).start, 0);
-        for bi in 1..4 {
-            assert_eq!(grid.row_range(bi).start, grid.row_range(bi - 1).end);
-        }
-    }
-
-    #[test]
     fn independence_rule() {
-        let a = BlockId { bi: 0, bj: 0 };
-        assert!(Grid::independent(a, BlockId { bi: 1, bj: 1 }));
-        assert!(!Grid::independent(a, BlockId { bi: 0, bj: 1 })); // same row
-        assert!(!Grid::independent(a, BlockId { bi: 1, bj: 0 })); // same col
-        assert!(!Grid::independent(a, a));
-    }
-
-    #[test]
-    fn convergence_constraint() {
-        let data = matrix(40_000, 4_000, 100);
-        let grid = Grid::build(&data, 1, 1);
-        // min(m, n)/20 = 200.
-        assert_eq!(grid.hogwild_safe_workers(), 200);
-        assert!(grid.convergence_ok(100));
-        assert!(!grid.convergence_ok(200));
-        let grid4 = Grid::build(&data, 1, 4);
-        // min(40000, 1000)/20 = 50.
-        assert!(!grid4.convergence_ok(96));
-        assert!(grid4.convergence_ok(49));
+        let a = (0, 0);
+        assert!(independent(a, (1, 1)));
+        assert!(!independent(a, (0, 1))); // same row
+        assert!(!independent(a, (1, 0))); // same col
+        assert!(!independent(a, a));
     }
 
     #[test]
     fn schedule_covers_each_block_once() {
         let data = matrix(64, 64, 1000);
-        let grid = Grid::build(&data, 4, 4);
+        let grid = BlockGrid::build(&data, 4, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let sched = schedule_epoch(&grid, 2, &mut rng);
         let mut seen = std::collections::HashSet::new();
         for wave in &sched.waves {
-            let blocks: Vec<BlockId> = wave.iter().flatten().copied().collect();
+            let blocks: Vec<u32> = wave.iter().flatten().copied().collect();
             for pair in blocks.windows(2) {
-                assert!(Grid::independent(pair[0], pair[1]));
+                assert!(independent(grid.cell_pos(pair[0]), grid.cell_pos(pair[1])));
             }
             for b in blocks {
-                assert!(seen.insert(b), "block {b:?} scheduled twice");
+                assert!(seen.insert(b), "block {b} scheduled twice");
             }
         }
         assert_eq!(seen.len(), 16);
@@ -370,7 +230,7 @@ mod tests {
     #[test]
     fn single_gpu_schedule_has_no_idles() {
         let data = matrix(64, 64, 1000);
-        let grid = Grid::build(&data, 4, 1);
+        let grid = BlockGrid::build(&data, 4, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let sched = schedule_epoch(&grid, 1, &mut rng);
         assert_eq!(sched.len(), 4);
@@ -400,27 +260,5 @@ mod tests {
         let (feasible2, _) = count_feasible_orders(3, 2);
         assert!(feasible < feasible2);
         assert!(feasible2 < total);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds matrix")]
-    fn grid_larger_than_matrix_rejected() {
-        let _ = Grid::build(&matrix(4, 4, 10), 8, 2);
-    }
-
-    #[test]
-    fn segment_helpers_match_the_grid() {
-        let grid = Grid::build(&matrix(103, 77, 100), 4, 3);
-        for bi in 0..4 {
-            assert_eq!(segment_range(103, 4, bi), grid.row_range(bi));
-        }
-        for bj in 0..3 {
-            assert_eq!(segment_range(77, 3, bj), grid.col_range(bj));
-        }
-        // Every coordinate lands in the segment whose range contains it.
-        for u in 0..103 {
-            let s = segment_of(103, 4, u);
-            assert!(segment_range(103, 4, s).contains(&u), "u={u} s={s}");
-        }
     }
 }

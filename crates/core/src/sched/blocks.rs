@@ -38,6 +38,7 @@ use std::ops::Range;
 use cumf_data::CooMatrix;
 
 use super::StreamItem;
+use crate::partition::{boundary, bucket};
 
 /// An `rows × cols` block grid over a rating matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,16 +57,9 @@ pub struct BlockGrid {
     samples: Vec<u32>,
 }
 
-/// `parts + 1` boundaries of `0..len` split as `i * parts / len` assigns
-/// indices: part `b` starts at `⌈b · len / parts⌉`.
-fn bounds(len: usize, parts: usize) -> Vec<u32> {
-    (0..=parts)
-        .map(|b| (b * len).div_ceil(parts) as u32)
-        .collect()
-}
-
 impl BlockGrid {
-    /// Buckets `data` into `rows × cols` cells: P row `u` falls in grid row
+    /// Buckets `data` into `rows × cols` cells by the segment rule of
+    /// [`crate::partition::segment_of`]: P row `u` falls in grid row
     /// `u · rows / m`, Q column `v` in grid column `v · cols / n`. Cell
     /// `r · cols + c` is grid position `(r, c)`.
     pub fn build(data: &CooMatrix, rows: usize, cols: usize) -> Self {
@@ -74,12 +68,9 @@ impl BlockGrid {
             u32::try_from(data.nnz()).is_ok(),
             "block grids index samples with u32"
         );
-        let (m, n) = (data.rows() as usize, data.cols() as usize);
-        let cell_of = |u: u32, v: u32| {
-            let r = (u as usize * rows / m).min(rows - 1);
-            let c = (v as usize * cols / n).min(cols - 1);
-            r * cols + c
-        };
+        let (m, n) = (data.rows(), data.cols());
+        let (r32, c32) = (rows as u32, cols as u32);
+        let cell_of = |u: u32, v: u32| (bucket(m, r32, u) * c32 + bucket(n, c32, v)) as usize;
         let mut offsets = vec![0u32; rows * cols + 1];
         for (&u, &v) in data.us().iter().zip(data.vs()) {
             offsets[cell_of(u, v) + 1] += 1;
@@ -94,11 +85,12 @@ impl BlockGrid {
             samples[fill[cell] as usize] = i as u32;
             fill[cell] += 1;
         }
+        let bounds = |len, parts| (0..=parts).map(|b| boundary(len, parts, b)).collect();
         BlockGrid {
-            rows: rows as u32,
-            cols: cols as u32,
-            row_bounds: bounds(m, rows),
-            col_bounds: bounds(n, cols),
+            rows: r32,
+            cols: c32,
+            row_bounds: bounds(m, r32),
+            col_bounds: bounds(n, c32),
             cell_pos: (0..rows * cols)
                 .map(|c| ((c / cols) as u32, (c % cols) as u32))
                 .collect(),

@@ -192,9 +192,9 @@ pub struct StaleCert {
     /// The largest learning rate the schedule can reach.
     pub gamma_max: f32,
     /// The lr·τ safety condition value (must be < 1): `γ_max · (W−1) ·
-    /// 20 / min_dim` — §7.5's `s ≪ min(m, n)` rule with the
-    /// [`crate::partition::Grid::hogwild_safe_workers`] 1/20 margin,
-    /// scaled by the configured learning rate. The writer-overlap term
+    /// 20 / min_dim` — §7.5's `s ≪ min(m, n)` rule with the paper's
+    /// empirical 1/20 margin ([`lr_tau_condition`]), scaled by the
+    /// configured learning rate. The writer-overlap term
     /// `W−1` is the per-round component of τ; the batch-length factor
     /// certifies boundedness but does not enter the condition, because
     /// a batch streams (almost surely distinct) rows in storage order.
@@ -244,8 +244,9 @@ pub type StaleVerdict = Verdict<StaleCert, StaleWitness>;
 
 /// The lr·τ safety condition value for a bounded path: `γ_max · (W−1) ·
 /// 20 / min_dim`. At γ = 1 this is exactly §7.5's `s − 1 < min(m, n) /
-/// 20` safe-worker rule ([`crate::partition::Grid::hogwild_safe_workers`]);
-/// smaller learning rates buy proportionally more concurrent writers.
+/// 20` safe-worker rule (§7.5's `s ≪ min(m, n)` with the paper's
+/// empirical factor of 20); smaller learning rates buy proportionally
+/// more concurrent writers.
 pub fn lr_tau_condition(writers: u32, min_dim: u32, gamma: f32) -> f64 {
     assert!(min_dim > 0, "staleness condition needs a non-empty matrix");
     f64::from(gamma) * f64::from(writers.saturating_sub(1)) * 20.0 / f64::from(min_dim)

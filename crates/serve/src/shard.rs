@@ -1,7 +1,7 @@
 //! Sharded factor storage mirroring the training partition grid.
 //!
 //! A trained model (`P: m×k`, `Q: n×k`) is split exactly as
-//! `cumf_core::partition::Grid` splits the rating matrix: `i` P-shards
+//! `cumf_core::sched::BlockGrid` splits the rating matrix: `i` P-shards
 //! over contiguous user ranges and `j` Q-shards over contiguous item
 //! ranges (the boundary rule is shared via
 //! [`cumf_core::partition::segment_range`], so shard `Q2` of the server

@@ -10,8 +10,10 @@ use cumf_rng::{ChaCha8Rng, Rng, SeedableRng};
 
 use cumf_sgd::core::half::{F16, F16_MAX_RELATIVE_ERROR};
 use cumf_sgd::core::kernel::{dot, dot_scalar, sgd_delta, sgd_update_reference};
-use cumf_sgd::core::partition::Grid;
-use cumf_sgd::core::sched::{drain_epoch, BatchHogwildStream, LibmfTableStream, WavefrontStream};
+use cumf_sgd::core::partition::{segment_of, segment_range};
+use cumf_sgd::core::sched::{
+    drain_epoch, BatchHogwildStream, BlockGrid, LibmfTableStream, WavefrontStream,
+};
 use cumf_sgd::data::synth::{zipf_weights, AliasTable};
 use cumf_sgd::data::CooMatrix;
 use cumf_sgd::des::SimTime;
@@ -141,28 +143,47 @@ fn schedulers_cover_exactly_once() {
     }
 }
 
-/// Grid partitions cover every sample exactly once, in range.
+/// Block grids put every sample in exactly one cell, inside that cell's
+/// row and column ranges; the ranges are the segment rule's and tile the
+/// matrix, and `segment_of` names the cell's grid row and column.
 #[test]
 fn grid_partitions_are_exact() {
     let mut rng = ChaCha8Rng::seed_from_u64(106);
     for _ in 0..64 {
         let coo = random_coo(&mut rng);
-        let i = rng.gen_range(1u32..5).min(coo.rows());
-        let j = rng.gen_range(1u32..5).min(coo.cols());
-        let grid = Grid::build(&coo, i, j);
+        let (m, n) = (coo.rows(), coo.cols());
+        let i = rng.gen_range(1u32..5).min(m);
+        let j = rng.gen_range(1u32..5).min(n);
+        let grid = BlockGrid::build(&coo, i as usize, j as usize);
         let mut seen = vec![false; coo.nnz()];
-        for id in grid.block_ids() {
-            let rr = grid.row_range(id.bi);
-            let cr = grid.col_range(id.bj);
-            for &s in grid.block(id) {
-                assert!(!seen[s], "sample {s} in two blocks");
+        for cell in 0..grid.cells() as u32 {
+            let (r, c) = grid.cell_pos(cell);
+            let (rr, cr) = (grid.row_range(r), grid.col_range(c));
+            for &s in grid.cell(cell) {
+                let s = s as usize;
+                assert!(!seen[s], "sample {s} in two cells");
                 seen[s] = true;
                 let e = coo.get(s);
-                assert!(rr.contains(&e.u));
-                assert!(cr.contains(&e.v));
+                assert!(
+                    rr.contains(&e.u) && cr.contains(&e.v),
+                    "{e:?} outside cell {cell}"
+                );
+                assert_eq!(segment_of(m, i, e.u), r);
+                assert_eq!(segment_of(n, j, e.v), c);
             }
         }
         assert!(seen.iter().all(|&x| x), "some sample missing");
+        let rows: Vec<_> = (0..i).map(|r| grid.row_range(r)).collect();
+        let cols: Vec<_> = (0..j).map(|c| grid.col_range(c)).collect();
+        for (ranges, parts, total) in [(rows, i, m), (cols, j, n)] {
+            let mut next = 0;
+            for (b, range) in (0..parts).zip(ranges) {
+                assert_eq!(range, segment_range(total, parts, b));
+                assert_eq!(range.start, next, "segments must tile 0..{total}");
+                next = range.end;
+            }
+            assert_eq!(next, total);
+        }
     }
 }
 
