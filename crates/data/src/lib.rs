@@ -8,9 +8,7 @@
 //! * [`presets`] — the paper's Netflix / Yahoo!Music / Hugewiki shapes
 //!   (Table 2) plus laptop-scale synthetic stand-ins,
 //! * [`io`] — LIBMF-compatible text and compact binary formats,
-//! * [`split`] — random holdout splitting (the paper's Hugewiki protocol),
-//! * [`stream`] — bounded-memory chunked readers and on-disk partitioning
-//!   for out-of-core staging (§6).
+//! * [`split`] — random holdout splitting (the paper's Hugewiki protocol).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +18,6 @@ pub mod csr;
 pub mod io;
 pub mod presets;
 pub mod split;
-pub mod stream;
 pub mod synth;
 
 pub use coo::{CooMatrix, Entry};
@@ -30,5 +27,4 @@ pub use presets::{
     NETFLIX, YAHOO_MUSIC,
 };
 pub use split::holdout_split;
-pub use stream::{partition_to_files, BinaryHeader, ChunkReader};
 pub use synth::{generate, AliasTable, SynthConfig, SynthDataset};
