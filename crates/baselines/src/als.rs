@@ -12,6 +12,7 @@ use cumf_gpu_sim::GpuSpec;
 
 use cumf_core::feature::FactorMatrix;
 use cumf_core::metrics::{rmse, Trace, TracePoint};
+use cumf_core::solver::check_problem;
 
 use crate::linalg::{spd_solve, syrk_accumulate};
 
@@ -91,7 +92,7 @@ pub fn train_als(
     config: &AlsConfig,
     time: Option<&AlsTimeModel>,
 ) -> AlsResult {
-    assert!(!train.is_empty(), "training set is empty");
+    check_problem(train, config.k).unwrap_or_else(|e| panic!("{e}"));
     use cumf_rng::SeedableRng;
     let mut rng = cumf_rng::ChaCha8Rng::seed_from_u64(config.seed);
     let mut p: FactorMatrix<f32> = FactorMatrix::random_init(train.rows(), config.k, &mut rng);

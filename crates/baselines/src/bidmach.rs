@@ -31,6 +31,7 @@ use cumf_core::feature::FactorMatrix;
 use cumf_core::kernel::AdaGrad;
 use cumf_core::lrate::Schedule;
 use cumf_core::metrics::Trace;
+use cumf_core::solver::check_problem;
 
 /// BIDMach solver configuration.
 #[derive(Debug, Clone)]
@@ -217,7 +218,7 @@ pub fn train_bidmach(
     config: &BidmachConfig,
     epoch_secs: Option<f64>,
 ) -> BidmachResult {
-    assert!(!train.is_empty(), "training set is empty");
+    check_problem(train, config.k).unwrap_or_else(|e| panic!("{e}"));
     assert!(config.minibatch > 0);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let k = config.k as usize;

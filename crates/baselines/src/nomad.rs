@@ -29,6 +29,7 @@ use cumf_core::feature::FactorMatrix;
 use cumf_core::kernel::sgd_update;
 use cumf_core::lrate::{LearningRate, Schedule};
 use cumf_core::metrics::{rmse, Trace, TracePoint};
+use cumf_core::solver::check_problem;
 
 /// NOMAD solver configuration.
 #[derive(Debug, Clone)]
@@ -142,7 +143,7 @@ pub fn train_nomad(
     config: &NomadConfig,
     perf: Option<&NomadPerfModel>,
 ) -> NomadResult {
-    assert!(!train.is_empty(), "training set is empty");
+    check_problem(train, config.k).unwrap_or_else(|e| panic!("{e}"));
     assert!(config.nodes >= 1);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut p: FactorMatrix<f32> = FactorMatrix::random_init(train.rows(), config.k, &mut rng);

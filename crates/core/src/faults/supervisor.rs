@@ -1,7 +1,7 @@
 //! The self-healing training supervisor.
 //!
-//! [`TrainSupervisor`] wraps the layered epoch pipeline with a recovery
-//! state machine (documented in DESIGN.md §8):
+//! [`TrainSupervisor`] wraps the layered epoch pipeline of partitioned
+//! training with a recovery state machine (documented in DESIGN.md §8):
 //!
 //! ```text
 //!            ┌────────────────────────────────────────────┐
@@ -14,6 +14,9 @@
 //!                                        ▼
 //!                                    Unrecoverable
 //! ```
+//!
+//! VALIDATE is [`MultiGpuConfig::check`], whose message
+//! [`crate::multi_gpu::train_partitioned`] panics with.
 //!
 //! Driving the pipeline one epoch per segment keeps the control flow
 //! trivial and costs nothing but a resume-state clone: the engine's
@@ -50,20 +53,24 @@ use crate::feature::{Element, FactorMatrix};
 use crate::metrics::Trace;
 use crate::model_io::ModelIoError;
 use crate::multi_gpu::{partitioned_setup, EpochTiming, MultiGpuConfig};
-use crate::solver::{train_resumable, CheckpointSpec, Scheme, SolverConfig, TrainResult};
 use crate::BiasTerms;
 
 use super::inject::{FatalFlag, FaultyPartitionedBackend};
 use super::retry::RetryPolicy;
 use super::{FaultPlan, RecoveryKind, RecoveryLog};
 
-/// Typed failure of a supervised training run.
+/// Typed failure of a training run: [`crate::solver::train_resumable`]
+/// returns the first two variants, [`TrainSupervisor::train_partitioned`]
+/// all but [`TrainError::Checkpoint`].
 #[derive(Debug)]
 pub enum TrainError {
-    /// A configuration the panicking entry points would assert on; the
-    /// message matches the corresponding panic text.
+    /// A configuration [`SolverConfig::check`] or [`MultiGpuConfig::check`]
+    /// rejects; the message is the one the panicking entry points print.
+    ///
+    /// [`SolverConfig::check`]: crate::solver::SolverConfig::check
     InvalidConfig(String),
-    /// Checkpoint IO / format failure (save, or a corrupt `--resume`).
+    /// A `--resume` checkpoint that cannot be read, is corrupt, or does
+    /// not fit the run.
     Checkpoint(ModelIoError),
     /// A transfer could not be completed within the retry budget.
     TransferFailed {
@@ -227,7 +234,7 @@ impl<E: Element> EpochObserver<E> for TailCapture {
     }
 }
 
-/// Wraps the training entry points with validation, fault injection, and
+/// Wraps partitioned training with validation, fault injection, and
 /// recovery. Construct with [`FaultPlan::new`] for a plain supervised run
 /// (validation and recovery policies, no injected faults).
 #[derive(Debug, Clone)]
@@ -244,27 +251,11 @@ impl TrainSupervisor {
         TrainSupervisor { supervision, plan }
     }
 
-    /// Typed-error front door to [`crate::solver::train`] /
-    /// [`train_resumable`]: misconfigurations the panicking API asserts on
-    /// come back as [`TrainError::InvalidConfig`] with the same message,
-    /// and checkpoint failures (including a corrupt `--resume` file) as
-    /// [`TrainError::Checkpoint`]. The panicking API is untouched — this
-    /// is a validation mirror in front of it, not a replacement.
-    pub fn train<E: Element>(
-        &self,
-        train: &CooMatrix,
-        test: &CooMatrix,
-        config: &SolverConfig,
-        time: Option<&crate::solver::TimeModel>,
-        checkpoint: Option<&CheckpointSpec>,
-    ) -> Result<TrainResult<E>, TrainError> {
-        validate_solver(train, config)?;
-        Ok(train_resumable(train, test, config, time, checkpoint)?)
-    }
-
-    /// Supervised partitioned training: validates the configuration,
-    /// injects the fault plan, and recovers by policy. The fault-free
-    /// plan reproduces a clean run exactly.
+    /// Supervised partitioned training: a configuration
+    /// [`MultiGpuConfig::check`] rejects is [`TrainError::InvalidConfig`]
+    /// with its message; otherwise the fault plan is injected and
+    /// recovered from by policy. The fault-free plan reproduces a clean
+    /// run exactly.
     pub fn train_partitioned<E: Element>(
         &self,
         train: &CooMatrix,
@@ -273,7 +264,7 @@ impl TrainSupervisor {
         gpu: &GpuSpec,
         link: &LinkSpec,
     ) -> Result<SupervisedResult<E>, TrainError> {
-        validate_multi_gpu(train, config)?;
+        config.check(train).map_err(TrainError::InvalidConfig)?;
 
         // Each epoch's backend reseeds per epoch, so the RNG left after
         // the model's draws is not used.
@@ -504,98 +495,4 @@ impl TrainSupervisor {
             rollbacks,
         })
     }
-}
-
-/// Mirrors the assertions of [`crate::solver::train`] and the scheduling
-/// streams it builds, producing [`TrainError::InvalidConfig`] with the
-/// exact panic message instead of unwinding.
-fn validate_solver(train: &CooMatrix, config: &SolverConfig) -> Result<(), TrainError> {
-    let fail = |m: String| Err(TrainError::InvalidConfig(m));
-    if config.k == 0 {
-        return fail("k must be positive".into());
-    }
-    if train.is_empty() {
-        return fail("training set is empty".into());
-    }
-    let (m, n) = (train.rows() as usize, train.cols() as usize);
-    match config.scheme {
-        Scheme::Wavefront { workers, cols } => {
-            let (workers, cols) = (workers as usize, cols as usize);
-            if workers == 0 {
-                return fail("need at least one worker".into());
-            }
-            if cols < 2 * workers {
-                return fail(format!(
-                    "wavefront needs cols >= 2*workers for deadlock freedom \
-                     (got {cols} cols, {workers} workers)"
-                ));
-            }
-            if workers > m.max(1) {
-                return fail("more workers than rows".into());
-            }
-            if cols > n.max(1) {
-                return fail("more columns than items".into());
-            }
-        }
-        Scheme::LibmfTable { workers, a } => {
-            let (workers, a) = (workers as usize, a as usize);
-            if workers == 0 {
-                return fail("need at least one worker".into());
-            }
-            if a == 0 {
-                return fail("grid dimension must be positive".into());
-            }
-            if a > m || a > n {
-                return fail(format!("grid {a} exceeds matrix {m}x{n}"));
-            }
-        }
-        Scheme::Hogwild { workers } | Scheme::BatchHogwild { workers, .. } => {
-            if workers == 0 {
-                return fail("need at least one worker".into());
-            }
-        }
-        Scheme::Serial => {}
-    }
-    Ok(())
-}
-
-/// Mirrors the assertions of [`crate::multi_gpu::train_partitioned`] and
-/// [`crate::sched::BlockGrid::build`].
-fn validate_multi_gpu(train: &CooMatrix, config: &MultiGpuConfig) -> Result<(), TrainError> {
-    let fail = |m: String| Err(TrainError::InvalidConfig(m));
-    if train.is_empty() {
-        return fail("training set is empty".into());
-    }
-    if config.gpus < 1 {
-        return fail("need at least one GPU".into());
-    }
-    if config.enforce_grid_rule
-        && config.gpus > 1
-        && (config.grid_i < 2 * config.gpus || config.grid_j < 2 * config.gpus)
-    {
-        return fail(format!(
-            "grid {}x{} too small for {} GPUs (need >= {}x{})",
-            config.grid_i,
-            config.grid_j,
-            config.gpus,
-            2 * config.gpus,
-            2 * config.gpus
-        ));
-    }
-    if config.grid_i == 0 || config.grid_j == 0 {
-        return fail("grid must be at least 1x1".into());
-    }
-    if config.grid_i > train.rows() || config.grid_j > train.cols() {
-        return fail(format!(
-            "grid {}x{} exceeds matrix {}x{}",
-            config.grid_i,
-            config.grid_j,
-            train.rows(),
-            train.cols()
-        ));
-    }
-    if config.workers_per_gpu == 0 {
-        return fail("need at least one worker".into());
-    }
-    Ok(())
 }

@@ -36,7 +36,8 @@ use crate::feature::{Element, FactorMatrix};
 use crate::kernel::precision_of;
 use crate::lrate::Schedule;
 use crate::metrics::Trace;
-use crate::sched::BlockGrid;
+use crate::sched::{BatchHogwildStream, BlockGrid};
+use crate::solver::check_problem;
 
 /// Configuration of a partitioned multi-GPU run.
 #[derive(Debug, Clone)]
@@ -92,6 +93,28 @@ impl MultiGpuConfig {
             enforce_grid_rule: false,
             bias: false,
         }
+    }
+
+    /// Every rule a partitioned run on `train` relies on: `k > 0` and a
+    /// non-empty training set, at least one GPU, the §7.6 grid rule when
+    /// enforced, then [`BlockGrid::check`] and the per-cell
+    /// [`BatchHogwildStream::check`].
+    pub fn check(&self, train: &CooMatrix) -> Result<(), String> {
+        check_problem(train, self.k)?;
+        if self.gpus == 0 {
+            return Err("need at least one GPU".into());
+        }
+        // §7.6: "when cuMF_SGD uses two GPUs, R should at least be divided
+        // into 4×4 blocks".
+        let need = self.gpus.saturating_mul(2);
+        if self.enforce_grid_rule && self.gpus > 1 && (self.grid_i < need || self.grid_j < need) {
+            return Err(format!(
+                "grid {}x{} too small for {} GPUs (need >= {need}x{need})",
+                self.grid_i, self.grid_j, self.gpus
+            ));
+        }
+        BlockGrid::check(train, self.grid_i as usize, self.grid_j as usize)?;
+        BatchHogwildStream::check(self.workers_per_gpu as usize, self.batch as usize)
     }
 }
 
@@ -149,7 +172,8 @@ pub(crate) fn partitioned_setup<E: Element>(
 }
 
 /// Trains with the partitioned multi-GPU pipeline on the given (simulated)
-/// GPU and interconnect.
+/// GPU and interconnect. Panics with [`MultiGpuConfig::check`]'s message;
+/// [`crate::faults::TrainSupervisor::train_partitioned`] returns it.
 pub fn train_partitioned<E: Element>(
     train: &CooMatrix,
     test: &CooMatrix,
@@ -157,29 +181,7 @@ pub fn train_partitioned<E: Element>(
     gpu: &GpuSpec,
     link: &LinkSpec,
 ) -> MultiGpuResult<E> {
-    assert!(!train.is_empty(), "training set is empty");
-    assert!(config.gpus >= 1, "need at least one GPU");
-    if config.enforce_grid_rule && config.gpus > 1 {
-        // §7.6: "when cuMF_SGD uses two GPUs, R should at least be divided
-        // into 4×4 blocks".
-        assert!(
-            config.grid_i >= 2 * config.gpus && config.grid_j >= 2 * config.gpus,
-            "grid {}x{} too small for {} GPUs (need >= {}x{})",
-            config.grid_i,
-            config.grid_j,
-            config.gpus,
-            2 * config.gpus,
-            2 * config.gpus
-        );
-    }
-    assert!(
-        config.grid_i <= train.rows() && config.grid_j <= train.cols(),
-        "grid {}x{} exceeds matrix {}x{}",
-        config.grid_i,
-        config.grid_j,
-        train.rows(),
-        train.cols()
-    );
+    config.check(train).unwrap_or_else(|e| panic!("{e}"));
     let (grid, mut model, cost, rng) = partitioned_setup::<E>(train, config);
     let mut backend = PartitionedBackend::new(
         train,

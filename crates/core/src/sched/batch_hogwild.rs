@@ -6,7 +6,7 @@
 //! random in coordinates (Eq. 8's locality argument): the policy gets
 //! Hogwild!'s scheduling freedom *and* streaming reads.
 
-use super::{StreamItem, UpdateStream};
+use super::{check_workers, StreamItem, UpdateStream};
 
 /// Batch-Hogwild! scheduling: `f`-sample batches off a shared counter.
 #[derive(Debug, Clone)]
@@ -23,10 +23,10 @@ pub struct BatchHogwildStream {
 impl BatchHogwildStream {
     /// `workers` workers fetching batches of `f = batch` consecutive
     /// samples from `n` shuffled samples. The paper uses f = 256 (≫
-    /// cache-line size / sample size = ⌈128/12⌉, per Eq. 8).
+    /// cache-line size / sample size = ⌈128/12⌉, per Eq. 8). Panics with
+    /// [`BatchHogwildStream::check`]'s message.
     pub fn new(n: usize, workers: usize, batch: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        assert!(batch > 0, "batch size must be positive");
+        Self::check(workers, batch).unwrap_or_else(|e| panic!("{e}"));
         BatchHogwildStream {
             n,
             workers,
@@ -34,6 +34,15 @@ impl BatchHogwildStream {
             next_batch: 0,
             cursors: vec![(0, 0); workers],
         }
+    }
+
+    /// The policy's rules: at least one worker, and a positive batch.
+    pub fn check(workers: usize, batch: usize) -> Result<(), String> {
+        check_workers(workers)?;
+        if batch == 0 {
+            return Err("batch size must be positive".into());
+        }
+        Ok(())
     }
 
     /// The paper's default batch size.

@@ -61,13 +61,10 @@ impl BlockGrid {
     /// Buckets `data` into `rows × cols` cells by the segment rule of
     /// [`crate::partition::segment_of`]: P row `u` falls in grid row
     /// `u · rows / m`, Q column `v` in grid column `v · cols / n`. Cell
-    /// `r · cols + c` is grid position `(r, c)`.
+    /// `r · cols + c` is grid position `(r, c)`. Panics with
+    /// [`BlockGrid::check`]'s message.
     pub fn build(data: &CooMatrix, rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
-        assert!(
-            u32::try_from(data.nnz()).is_ok(),
-            "block grids index samples with u32"
-        );
+        Self::check(data, rows, cols).unwrap_or_else(|e| panic!("{e}"));
         let (m, n) = (data.rows(), data.cols());
         let (r32, c32) = (rows as u32, cols as u32);
         let cell_of = |u: u32, v: u32| (bucket(m, r32, u) * c32 + bucket(n, c32, v)) as usize;
@@ -97,6 +94,22 @@ impl BlockGrid {
             offsets,
             samples,
         }
+    }
+
+    /// The grid's rules: at least 1×1, no more grid rows than P rows or
+    /// grid columns than Q columns, and samples indexable with `u32`.
+    pub fn check(data: &CooMatrix, rows: usize, cols: usize) -> Result<(), String> {
+        let (m, n) = (data.rows(), data.cols());
+        if rows == 0 || cols == 0 {
+            return Err("grid must be at least 1x1".into());
+        }
+        if rows > m as usize || cols > n as usize {
+            return Err(format!("grid {rows}x{cols} exceeds matrix {m}x{n}"));
+        }
+        if u32::try_from(data.nnz()).is_err() {
+            return Err("block grids index samples with u32".into());
+        }
+        Ok(())
     }
 
     /// A grid with explicit bounds and cells `(grid row, grid col,

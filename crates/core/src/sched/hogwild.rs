@@ -9,7 +9,7 @@ use cumf_rng::ChaCha8Rng;
 use cumf_rng::Rng;
 use cumf_rng::SeedableRng;
 
-use super::{StreamItem, UpdateStream};
+use super::{check_workers, StreamItem, UpdateStream};
 
 /// Uniform lock-free Hogwild! scheduling.
 #[derive(Debug, Clone)]
@@ -24,9 +24,10 @@ pub struct HogwildStream {
 
 impl HogwildStream {
     /// `workers` workers drawing from `n` samples; an epoch issues exactly
-    /// `n` updates in total (a full pass in expectation).
+    /// `n` updates in total (a full pass in expectation). Panics with
+    /// [`HogwildStream::check`]'s message.
     pub fn new(n: usize, workers: usize, seed: u64) -> Self {
-        assert!(workers > 0);
+        Self::check(workers).unwrap_or_else(|e| panic!("{e}"));
         HogwildStream {
             n,
             workers,
@@ -35,6 +36,11 @@ impl HogwildStream {
             rng: ChaCha8Rng::seed_from_u64(seed),
             seed,
         }
+    }
+
+    /// The policy's one rule: at least one worker.
+    pub fn check(workers: usize) -> Result<(), String> {
+        check_workers(workers)
     }
 }
 

@@ -26,7 +26,7 @@ use cumf_rng::SeedableRng;
 use cumf_data::CooMatrix;
 
 use super::blocks::{schedule, BlockGrid, BlockPolicy, Claim, EpochBlocks, Replay};
-use super::{StreamItem, UpdateStream};
+use super::{check_workers, StreamItem, UpdateStream};
 
 /// LIBMF-style global-table block scheduling over an a×a grid.
 #[derive(Debug, Clone)]
@@ -87,13 +87,10 @@ impl BlockPolicy for Table {
 }
 
 impl LibmfTableStream {
-    /// Builds the a×a grid over `data` for `workers` workers.
+    /// Builds the a×a grid over `data` for `workers` workers. Panics with
+    /// [`LibmfTableStream::check`]'s message.
     pub fn new(data: &CooMatrix, workers: usize, a: usize, seed: u64) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        assert!(a > 0, "grid dimension must be positive");
-        let m = data.rows() as usize;
-        let n = data.cols() as usize;
-        assert!(a <= m && a <= n, "grid {a} exceeds matrix {m}x{n}");
+        Self::check(data, workers, a).unwrap_or_else(|e| panic!("{e}"));
         let mut s = LibmfTableStream {
             workers,
             a,
@@ -104,6 +101,13 @@ impl LibmfTableStream {
         };
         s.begin_epoch(0);
         s
+    }
+
+    /// The policy's rules: at least one worker, and an `a × a` grid that
+    /// [`BlockGrid::check`] accepts over `data`.
+    pub fn check(data: &CooMatrix, workers: usize, a: usize) -> Result<(), String> {
+        check_workers(workers)?;
+        BlockGrid::check(data, a, a)
     }
 }
 

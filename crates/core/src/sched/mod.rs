@@ -45,6 +45,14 @@ pub enum StreamItem {
     Exhausted,
 }
 
+/// The rule every parallel policy shares: at least one worker.
+pub(crate) fn check_workers(workers: usize) -> Result<(), String> {
+    if workers == 0 {
+        return Err("need at least one worker".into());
+    }
+    Ok(())
+}
+
 /// A deterministic per-round work generator. See the module docs.
 pub trait UpdateStream {
     /// Number of parallel workers this stream schedules.

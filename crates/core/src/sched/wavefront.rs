@@ -34,7 +34,7 @@ use cumf_rng::SeedableRng;
 use cumf_data::CooMatrix;
 
 use super::blocks::{schedule, BlockGrid, BlockPolicy, Claim, EpochBlocks, Replay};
-use super::{StreamItem, UpdateStream};
+use super::{check_workers, StreamItem, UpdateStream};
 
 /// Wavefront-update scheduling over an s×c block grid.
 #[derive(Debug, Clone)]
@@ -82,20 +82,9 @@ impl BlockPolicy for ColumnLocks<'_> {
 
 impl WavefrontStream {
     /// Builds the grid over `data` with `workers` block-rows and `cols`
-    /// block-columns. Requires `cols ≥ 2 · workers` (see module docs) and
-    /// `workers ≤ m`, `cols ≤ n`.
+    /// block-columns. Panics with [`WavefrontStream::check`]'s message.
     pub fn new(data: &CooMatrix, workers: usize, cols: usize, seed: u64) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        assert!(
-            cols >= 2 * workers,
-            "wavefront needs cols >= 2*workers for deadlock freedom \
-             (got {cols} cols, {workers} workers)"
-        );
-        assert!(
-            workers as u32 <= data.rows().max(1),
-            "more workers than rows"
-        );
-        assert!(cols as u32 <= data.cols().max(1), "more columns than items");
+        Self::check(data, workers, cols).unwrap_or_else(|e| panic!("{e}"));
         let mut stream = WavefrontStream {
             workers,
             cols,
@@ -107,6 +96,20 @@ impl WavefrontStream {
         };
         stream.begin_epoch(0);
         stream
+    }
+
+    /// The policy's rules: at least one worker, `cols ≥ 2 · workers` (see
+    /// module docs), and a `workers × cols` grid that
+    /// [`BlockGrid::check`] accepts over `data`.
+    pub fn check(data: &CooMatrix, workers: usize, cols: usize) -> Result<(), String> {
+        check_workers(workers)?;
+        if cols < 2 * workers {
+            return Err(format!(
+                "wavefront needs cols >= 2*workers for deadlock freedom \
+                 (got {cols} cols, {workers} workers)"
+            ));
+        }
+        BlockGrid::check(data, workers, cols)
     }
 }
 

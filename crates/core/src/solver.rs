@@ -8,6 +8,9 @@
 //! [`EpochPipeline`] — producing the
 //! per-epoch convergence traces that are the raw material of every
 //! RMSE-vs-time figure in the paper.
+//!
+//! [`train_resumable`] returns a rule [`SolverConfig::check`] finds broken
+//! as [`TrainError::InvalidConfig`]; [`train`] panics with its message.
 
 use std::path::PathBuf;
 
@@ -22,6 +25,7 @@ use crate::engine::{
     EpochBackend, EpochCtx, EpochObserver, EpochPipeline, ModelTime, NoSimTime, ObsProbes,
     PipelineControl, PipelineRun, ResumeState, StreamBackend, TimeDomain,
 };
+use crate::faults::TrainError;
 use crate::feature::{Element, FactorMatrix};
 use crate::kernel::CostCert;
 use crate::lrate::Schedule;
@@ -114,6 +118,24 @@ impl Scheme {
         }
     }
 
+    /// The rules of the update stream implementing this policy over
+    /// `train`: the message [`Scheme::stream`] would panic with.
+    pub fn check(&self, train: &CooMatrix) -> Result<(), String> {
+        match *self {
+            Scheme::Serial => Ok(()),
+            Scheme::Hogwild { workers } => HogwildStream::check(workers as usize),
+            Scheme::BatchHogwild { workers, batch } => {
+                BatchHogwildStream::check(workers as usize, batch as usize)
+            }
+            Scheme::Wavefront { workers, cols } => {
+                WavefrontStream::check(train, workers as usize, cols as usize)
+            }
+            Scheme::LibmfTable { workers, a } => {
+                LibmfTableStream::check(train, workers as usize, a as usize)
+            }
+        }
+    }
+
     /// The deterministic update stream implementing this policy over `n`
     /// training samples, derived from the run's `seed`.
     pub fn stream(&self, train: &CooMatrix, seed: u64) -> Box<dyn UpdateStream> {
@@ -180,6 +202,25 @@ impl SolverConfig {
             divergence_ceiling: 1e3,
         }
     }
+
+    /// Every rule a run of this configuration on `train` relies on: `k > 0`
+    /// and a non-empty training set, then [`Scheme::check`]'s.
+    pub fn check(&self, train: &CooMatrix) -> Result<(), String> {
+        check_problem(train, self.k)?;
+        self.scheme.check(train)
+    }
+}
+
+/// The rules of every factorization of `train` at rank `k`, whichever
+/// solver runs it: a positive `k` and a non-empty training set.
+pub fn check_problem(train: &CooMatrix, k: u32) -> Result<(), String> {
+    if k == 0 {
+        return Err("k must be positive".into());
+    }
+    if train.is_empty() {
+        return Err("training set is empty".into());
+    }
+    Ok(())
 }
 
 /// Where, how often, and whether to resume from a training checkpoint.
@@ -239,15 +280,18 @@ impl<E: Element> TrainResult<E> {
 
 /// Trains a factorization of `train`, evaluating test RMSE after every
 /// epoch. Generic over the storage element: `f32`, or `F16` for the
-/// paper's half-precision mode.
+/// paper's half-precision mode. Panics with [`SolverConfig::check`]'s
+/// message on a bad configuration; [`train_resumable`] returns it.
 pub fn train<E: Element>(
     train: &CooMatrix,
     test: &CooMatrix,
     config: &SolverConfig,
     time: Option<&TimeModel>,
 ) -> TrainResult<E> {
-    train_resumable(train, test, config, time, None)
-        .expect("training without checkpointing performs no IO")
+    train_resumable(train, test, config, time, None).unwrap_or_else(|e| match e {
+        TrainError::InvalidConfig(m) => panic!("{m}"),
+        other => panic!("training without checkpointing performs no IO: {other}"),
+    })
 }
 
 /// [`train`], with optional checkpoint/resume. With `Some(spec)`, a
@@ -255,6 +299,11 @@ pub fn train<E: Element>(
 /// set and an existing checkpoint at `spec.path`, the run continues where
 /// it stopped — deterministic streams and the checkpointed LR state make
 /// the result bit-identical to an uninterrupted run.
+///
+/// A configuration [`SolverConfig::check`] rejects is
+/// [`TrainError::InvalidConfig`]; a checkpoint that cannot be resumed is
+/// [`TrainError::Checkpoint`] (a failed save only warns, see
+/// [`Checkpointer`]).
 ///
 /// A multi-worker scheme that claims conflict-freedom ([`Scheme::default_mode`]
 /// is [`ExecMode::Sequential`]: wavefront, LIBMF's table) must prove it:
@@ -269,7 +318,8 @@ pub fn train_resumable<E: Element>(
     config: &SolverConfig,
     time: Option<&TimeModel>,
     checkpoint: Option<&CheckpointSpec>,
-) -> Result<TrainResult<E>, ModelIoError> {
+) -> Result<TrainResult<E>, TrainError> {
+    config.check(train).map_err(TrainError::InvalidConfig)?;
     train_scheduled(
         &RunInputs {
             train,
@@ -299,10 +349,8 @@ fn train_scheduled<E: Element>(
     run: &RunInputs<'_>,
     stream: &dyn Fn() -> Box<dyn UpdateStream>,
     claimed: ExecMode,
-) -> Result<TrainResult<E>, ModelIoError> {
+) -> Result<TrainResult<E>, TrainError> {
     let (train, config) = (run.train, run.config);
-    assert!(config.k > 0, "k must be positive");
-    assert!(!train.is_empty(), "training set is empty");
 
     // The run's cost certificate: the kernel's memory contract for this
     // (k, precision, rating-access) checked against the Eq. 5 model, with

@@ -118,8 +118,10 @@ impl DatasetSpec {
     /// The *planted* rank is `k_small - 2`: the constant rating offset adds
     /// a rank-1 component, so a rank-`k_small` model retains capacity to
     /// reach the noise floor exactly.
+    ///
+    /// Panics with [`Self::check_scale`]'s message.
     pub fn scaled_config(&self, scale: f64, k_small: u32, seed: u64) -> SynthConfig {
-        assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
+        Self::check_scale(scale).unwrap_or_else(|e| panic!("{e}"));
         let floor = 12 * k_small;
         let m = ((self.m as f64 * scale).round() as u32).max(floor);
         let n = ((self.n as f64 * scale).round() as u32).max(floor);
@@ -137,6 +139,15 @@ impl DatasetSpec {
             col_skew: 0.55,
             rating_offset: 3.0,
             seed,
+        }
+    }
+
+    /// The stand-in's one rule on `scale`: it lies in `(0, 1]`.
+    pub fn check_scale(scale: f64) -> Result<(), String> {
+        if scale > 0.0 && scale <= 1.0 {
+            Ok(())
+        } else {
+            Err(format!("scale must be in (0, 1], got {scale}"))
         }
     }
 

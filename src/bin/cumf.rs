@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use cumf_sgd::core::model_io::{load_model_file, save_model_file, Model};
-use cumf_sgd::core::solver::{train, train_resumable, CheckpointSpec, Scheme, SolverConfig};
+use cumf_sgd::core::solver::{train_resumable, CheckpointSpec, Scheme, SolverConfig};
 use cumf_sgd::core::{rmse, Schedule, F16};
 use cumf_sgd::data::io::{read_binary_file, read_text_file, write_binary_file};
 use cumf_sgd::data::{CooMatrix, DatasetSpec, HUGEWIKI, NETFLIX, YAHOO_MUSIC};
@@ -252,6 +252,7 @@ fn parse_preset(flags: &Flags) -> Result<&'static DatasetSpec, String> {
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let preset = parse_preset(flags)?;
     let scale: f64 = get_parse(flags, "scale", 0.01)?;
+    DatasetSpec::check_scale(scale)?;
     let k: u32 = get_parse(flags, "k", 16)?;
     let seed: u64 = get_parse(flags, "seed", 42)?;
     let out = get(flags, "out", "train.bin");
@@ -281,13 +282,31 @@ fn parse_scheme(flags: &Flags) -> Result<Scheme, String> {
         "batch-hogwild" => Scheme::BatchHogwild { workers, batch },
         "wavefront" => Scheme::Wavefront {
             workers,
-            cols: workers * 4,
+            cols: workers.saturating_mul(4),
         },
         "libmf" => Scheme::LibmfTable {
             workers,
             a: get_parse(flags, "grid", 32)?,
         },
         other => return Err(format!("unknown scheme `{other}`")),
+    })
+}
+
+/// The solver configuration the training flags describe, running
+/// `default_epochs` epochs unless `--epochs` says otherwise.
+fn parse_solver_config(flags: &Flags, default_epochs: u32) -> Result<SolverConfig, String> {
+    Ok(SolverConfig {
+        k: get_parse(flags, "k", 16)?,
+        lambda: get_parse(flags, "lambda", 0.02)?,
+        schedule: Schedule::NomadDecay {
+            alpha: get_parse(flags, "alpha", 0.1)?,
+            beta: get_parse(flags, "beta", 0.1)?,
+        },
+        epochs: get_parse(flags, "epochs", default_epochs)?,
+        scheme: parse_scheme(flags)?,
+        seed: get_parse(flags, "seed", 42)?,
+        mode: None,
+        divergence_ceiling: 1e3,
     })
 }
 
@@ -299,19 +318,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     } else {
         CooMatrix::new(train_data.rows(), train_data.cols())
     };
-    let config = SolverConfig {
-        k: get_parse(flags, "k", 16)?,
-        lambda: get_parse(flags, "lambda", 0.02)?,
-        schedule: Schedule::NomadDecay {
-            alpha: get_parse(flags, "alpha", 0.1)?,
-            beta: get_parse(flags, "beta", 0.1)?,
-        },
-        epochs: get_parse(flags, "epochs", 20)?,
-        scheme: parse_scheme(flags)?,
-        seed: get_parse(flags, "seed", 42)?,
-        mode: None,
-        divergence_ceiling: 1e3,
-    };
+    let config = parse_solver_config(flags, 20)?;
     let save = get(flags, "save", "model.cmfm");
     let checkpoint = match flags.get("checkpoint") {
         Some(path) => Some(CheckpointSpec {
@@ -501,27 +508,15 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     }
     let preset = parse_preset(flags)?;
     let scale: f64 = get_parse(flags, "scale", 0.002)?;
-    let k: u32 = get_parse(flags, "k", 16)?;
-    let seed: u64 = get_parse(flags, "seed", 42)?;
+    DatasetSpec::check_scale(scale)?;
     let trace_path = get(flags, "trace", "profile_trace.json");
     let metrics_path = get(flags, "metrics", "profile_metrics.prom");
     let mut profile_flags = flags.clone();
     profile_flags
         .entry("workers".to_string())
         .or_insert_with(|| "8".to_string());
-    let config = SolverConfig {
-        k,
-        lambda: get_parse(flags, "lambda", 0.02)?,
-        schedule: Schedule::NomadDecay {
-            alpha: get_parse(flags, "alpha", 0.1)?,
-            beta: get_parse(flags, "beta", 0.1)?,
-        },
-        epochs: get_parse(flags, "epochs", 5)?,
-        scheme: parse_scheme(&profile_flags)?,
-        seed,
-        mode: None,
-        divergence_ceiling: 1e3,
-    };
+    let config = parse_solver_config(&profile_flags, 5)?;
+    let (k, seed) = (config.k, config.seed);
     obs::set_enabled(true);
     let d = preset.scaled(scale, k, seed);
     println!(
@@ -534,7 +529,8 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         config.scheme.name(),
         config.epochs
     );
-    let result = train::<f32>(&d.train, &d.test, &config, None);
+    let result = train_resumable::<f32>(&d.train, &d.test, &config, None, None)
+        .map_err(|e| e.to_string())?;
     run_machine_model(
         config.scheme,
         k,
@@ -800,9 +796,6 @@ fn parse_shard_grid(s: &str) -> Result<(u32, u32), String> {
         .trim()
         .parse()
         .map_err(|e| format!("bad --shards cols: {e}"))?;
-    if rows == 0 || cols == 0 {
-        return Err("--shards needs at least a 1x1 grid".into());
-    }
     Ok((rows, cols))
 }
 

@@ -3,11 +3,11 @@
 
 use cumf_sgd::core::engine::{save_checkpoint, ResumeState};
 use cumf_sgd::core::multi_gpu::{train_partitioned, MultiGpuConfig};
-use cumf_sgd::core::solver::{train, CheckpointSpec, Scheme, SolverConfig};
+use cumf_sgd::core::solver::{train, train_resumable, CheckpointSpec, Scheme, SolverConfig};
 use cumf_sgd::core::{
     EngineModel, FaultPlan, Schedule, SupervisorConfig, Trace, TrainError, TrainSupervisor,
 };
-use cumf_sgd::data::io::{read_binary, read_text, DataError};
+use cumf_sgd::data::io::{read_binary, read_text, write_binary_file, DataError};
 use cumf_sgd::data::synth::{generate, SynthConfig};
 use cumf_sgd::data::CooMatrix;
 use cumf_sgd::gpu_sim::{PCIE3_X16, TITAN_X_MAXWELL};
@@ -95,51 +95,68 @@ fn supervisor() -> TrainSupervisor {
     TrainSupervisor::new(SupervisorConfig::default(), FaultPlan::default())
 }
 
-/// The panicking misconfiguration above, retried through the supervisor:
-/// each case comes back as `TrainError::InvalidConfig` carrying the same
-/// message the assert would have printed, while the panicking API keeps
-/// panicking (previous tests). Both paths stay covered.
+/// The misconfigurations above and more, through the typed entry point:
+/// each comes back from `train_resumable` as `TrainError::InvalidConfig`
+/// carrying exactly the message `train` panics with.
 #[test]
-fn supervisor_returns_typed_errors_where_train_panics() {
+fn train_resumable_returns_typed_errors_where_train_panics() {
     let d = small();
-    let sup = supervisor();
-
-    let typed = |cfg: &SolverConfig| -> String {
-        match sup.train::<f32>(&d.train, &d.test, cfg, None, None) {
+    let empty = CooMatrix::new(3, 3);
+    let typed = |data: &CooMatrix, cfg: &SolverConfig| -> String {
+        let m = match train_resumable::<f32>(data, &d.test, cfg, None, None) {
             Err(TrainError::InvalidConfig(m)) => m,
             Err(other) => panic!("expected InvalidConfig, got {other}"),
             Ok(_) => panic!("misconfiguration must not train"),
-        }
+        };
+        let panicked = catch(|| train::<f32>(data, &d.test, cfg, None)).expect("must panic");
+        assert_eq!(m, panicked, "typed and panicking messages differ");
+        m
+    };
+    let config = |k, scheme| SolverConfig {
+        epochs: 1,
+        ..SolverConfig::new(k, scheme)
     };
 
-    let mut cfg = SolverConfig::new(0, Scheme::Serial);
-    cfg.epochs = 1;
-    assert!(typed(&cfg).contains("k must be positive"));
-
-    let cfg = SolverConfig::new(4, Scheme::Serial);
-    let empty = CooMatrix::new(3, 3);
-    match sup.train::<f32>(&empty, &d.test, &cfg, None, None) {
-        Err(TrainError::InvalidConfig(m)) => assert!(m.contains("training set is empty"), "{m}"),
-        _ => panic!("empty training set must be InvalidConfig"),
+    let cases = [
+        (&d.train, config(0, Scheme::Serial), "k must be positive"),
+        (&empty, config(4, Scheme::Serial), "training set is empty"),
+        (
+            &d.train,
+            config(
+                4,
+                Scheme::Wavefront {
+                    workers: 8,
+                    cols: 8,
+                },
+            ),
+            "deadlock freedom",
+        ),
+        (
+            &d.train,
+            config(4, Scheme::LibmfTable { workers: 2, a: 500 }),
+            "exceeds matrix",
+        ),
+        (
+            &d.train,
+            config(
+                4,
+                Scheme::BatchHogwild {
+                    workers: 4,
+                    batch: 0,
+                },
+            ),
+            "batch size must be positive",
+        ),
+        (
+            &d.train,
+            config(4, Scheme::Hogwild { workers: 0 }),
+            "need at least one worker",
+        ),
+    ];
+    for (data, cfg, needle) in &cases {
+        let m = typed(data, cfg);
+        assert!(m.contains(needle), "{m}");
     }
-
-    let mut cfg = SolverConfig::new(
-        4,
-        Scheme::Wavefront {
-            workers: 8,
-            cols: 8,
-        },
-    );
-    cfg.epochs = 1;
-    let m = typed(&cfg);
-    assert!(m.contains("deadlock freedom"), "{m}");
-    // Message text identical to the panicking path's.
-    let panicked = catch(|| train::<f32>(&d.train, &d.test, &cfg, None)).expect("must panic");
-    assert!(panicked.contains(&m), "typed {m:?} vs panic {panicked:?}");
-
-    let mut cfg = SolverConfig::new(4, Scheme::LibmfTable { workers: 2, a: 500 });
-    cfg.epochs = 1;
-    assert!(typed(&cfg).contains("exceeds matrix"));
 }
 
 #[test]
@@ -147,12 +164,26 @@ fn supervisor_returns_typed_errors_where_partitioned_panics() {
     let d = small();
     let sup = supervisor();
 
+    // The supervisor's InvalidConfig message, asserted equal to the one
+    // `train_partitioned` panics with.
     let typed = |cfg: &MultiGpuConfig| -> String {
-        match sup.train_partitioned::<f32>(&d.train, &d.test, cfg, &TITAN_X_MAXWELL, &PCIE3_X16) {
+        let m = match sup.train_partitioned::<f32>(
+            &d.train,
+            &d.test,
+            cfg,
+            &TITAN_X_MAXWELL,
+            &PCIE3_X16,
+        ) {
             Err(TrainError::InvalidConfig(m)) => m,
             Err(other) => panic!("expected InvalidConfig, got {other}"),
             Ok(_) => panic!("misconfiguration must not train"),
-        }
+        };
+        let panicked = catch(|| {
+            train_partitioned::<f32>(&d.train, &d.test, cfg, &TITAN_X_MAXWELL, &PCIE3_X16)
+        })
+        .expect("must panic");
+        assert_eq!(m, panicked, "typed and panicking messages differ");
+        m
     };
 
     let mut cfg = MultiGpuConfig::new(4, 2, 2, 2);
@@ -160,10 +191,6 @@ fn supervisor_returns_typed_errors_where_partitioned_panics() {
     cfg.epochs = 1;
     let m = typed(&cfg);
     assert!(m.contains("too small for"), "{m}");
-    let panicked =
-        catch(|| train_partitioned::<f32>(&d.train, &d.test, &cfg, &TITAN_X_MAXWELL, &PCIE3_X16))
-            .expect("must panic");
-    assert!(panicked.contains(&m), "typed {m:?} vs panic {panicked:?}");
 
     let cfg = MultiGpuConfig::new(4, 100, 100, 1);
     assert!(typed(&cfg).contains("exceeds matrix"));
@@ -172,18 +199,21 @@ fn supervisor_returns_typed_errors_where_partitioned_panics() {
     cfg.workers_per_gpu = 0;
     assert!(typed(&cfg).contains("need at least one worker"));
 
+    let mut cfg = MultiGpuConfig::new(4, 4, 4, 1);
+    cfg.batch = 0;
+    assert!(typed(&cfg).contains("batch size must be positive"));
+
     let cfg = MultiGpuConfig::new(4, 4, 4, 0);
     assert!(typed(&cfg).contains("need at least one GPU"));
 }
 
-/// A corrupt `--resume` file through the supervisor front door is a typed
+/// A corrupt `--resume` file through the typed entry point is a
 /// `TrainError::Checkpoint` naming the problem, never a panic and never a
 /// silent fresh start. So is a well-formed checkpoint of the biased model,
 /// which the bias-free solver cannot resume.
 #[test]
-fn supervisor_surfaces_corrupt_resume_checkpoint() {
+fn train_resumable_surfaces_corrupt_resume_checkpoint() {
     let d = small();
-    let sup = supervisor();
     let dir = std::env::temp_dir().join("cumf_failure_injection");
     std::fs::create_dir_all(&dir).unwrap();
     let corrupt = dir.join("corrupt_resume.cmfk");
@@ -207,8 +237,7 @@ fn supervisor_surfaces_corrupt_resume_checkpoint() {
             every: 1,
             resume: true,
         };
-        let err = sup
-            .train::<f32>(&d.train, &d.test, &cfg, None, Some(&spec))
+        let err = train_resumable::<f32>(&d.train, &d.test, &cfg, None, Some(&spec))
             .map(|_| ())
             .unwrap_err();
         match &err {
@@ -221,6 +250,64 @@ fn supervisor_surfaces_corrupt_resume_checkpoint() {
         }
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// Bad training and data-generation flags make `cumf` print the rule it
+/// broke and exit 1, never panic.
+#[test]
+fn cli_rejects_bad_training_flags_with_typed_errors() {
+    let d = small();
+    let dir = std::env::temp_dir().join("cumf_failure_injection_cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let train_bin = dir.join("train.bin");
+    write_binary_file(&train_bin, &d.train).unwrap();
+    let data = train_bin.to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (&["train", "--data", data, "--k", "0"], "k must be positive"),
+        (
+            &[
+                "train",
+                "--data",
+                data,
+                "--scheme",
+                "batch-hogwild",
+                "--batch",
+                "0",
+            ],
+            "batch size must be positive",
+        ),
+        (
+            &["train", "--data", data, "--scheme", "libmf", "--grid", "0"],
+            "grid must be at least 1x1",
+        ),
+        (
+            &[
+                "train",
+                "--data",
+                data,
+                "--scheme",
+                "wavefront",
+                "--workers",
+                "100000",
+            ],
+            "exceeds matrix",
+        ),
+        (&["profile", "--workers", "0"], "need at least one worker"),
+        (&["generate", "--scale", "0"], "scale must be in (0, 1]"),
+    ];
+    for (args, rule) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cumf"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("cumf binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+        assert!(stderr.contains(rule), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
