@@ -131,8 +131,8 @@ impl<E: Element> EpochBackend<E> for StreamBackend<'_, E> {
 /// claims conflict-freedom (wavefront, LIBMF's table), each epoch
 /// checked by a [`Certifier`]. An epoch whose blocks are
 /// [overlap-free](crate::sched::EpochBlocks::overlap_free) cannot
-/// collide: it runs block-major on up to `available_parallelism()` OS
-/// threads while the certifier folds its digest beside it. Any other
+/// collide: the certifier folds its blocks into the digest, and it runs
+/// block-major on up to `available_parallelism()` OS threads. Any other
 /// epoch is replayed through the per-sample claim scan first and, once
 /// certified, run by [`sequential_epoch`]. A refuted epoch is never
 /// executed: its outcome carries the schedule's rounds and stalls, no
@@ -184,15 +184,16 @@ impl<E: Element> EpochBackend<E> for CertifyingBackend<'_> {
         self.stream.begin_epoch(epoch);
         let (grid, blocks) = self.stream.blocks().expect("a block schedule");
         if blocks.overlap_free(grid) {
-            let (data, threads, certifier) = (self.data, self.threads, &mut self.certifier);
-            let stats = std::thread::scope(|scope| {
-                let exec = scope.spawn(|| {
-                    block_epoch(data, model.view(), grid, blocks, gamma, lambda, threads)
-                });
-                certifier.certify_overlap_free(epoch, grid, blocks);
-                exec.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
+            self.certifier.certify_overlap_free(epoch, grid, blocks);
+            let stats = block_epoch(
+                self.data,
+                model.view(),
+                grid,
+                blocks,
+                gamma,
+                lambda,
+                self.threads,
+            );
             return EpochOutcome::from_stats(stats);
         }
         // Blocks that share rounds may collide: replay the epoch round by

@@ -24,9 +24,23 @@
 //! ([`Certifier::drive`]). The blocking policies (wavefront, LIBMF's
 //! table) also expose each epoch as a block schedule: an epoch in which
 //! no two blocks that share rounds share a grid row or column cannot
-//! collide, so the certifier folds its samples into the digest straight
-//! from the blocks, with no claim scan; any other epoch gets the round
-//! replay. Both paths reach [`certify`]'s verdict bit for bit.
+//! collide, so the certifier takes it straight from the blocks, with no
+//! claim scan; any other epoch gets the round replay. Both paths reach
+//! [`certify`]'s verdict bit for bit.
+//!
+//! What the schedule digest covers depends on the stream:
+//!
+//! * **Block streams** (wavefront, LIBMF's table): the [`BlockGrid`] once
+//!   per certifier — its shape and bounds, then each cell's position,
+//!   length and sample indices — and, per epoch, the epoch number and
+//!   each block's `(worker, cell, start round, length)`. Those fix the
+//!   order in which every sample runs ([`EpochBlocks::round_major`]), so
+//!   the digest still names the schedule that ran, at O(blocks) per
+//!   epoch (512 on the Yahoo wavefront stand-in) instead of O(samples).
+//!   The round replay folds the same blocks once the epoch passes its
+//!   claim scan.
+//! * **Every other stream** (batch-Hogwild!, Hogwild!, serial): each
+//!   `(epoch, round, worker, sample)` quadruple the claim scan passes.
 //!
 //! [`crate::solver::train_resumable`] certifies a multi-worker block
 //! schedule that claims conflict-freedom epoch by epoch on the
@@ -118,9 +132,10 @@ pub struct ConflictCert {
     pub rounds: u64,
     /// Samples inspected across all checked epochs.
     pub samples: u64,
-    /// FNV-1a digest of the inspected schedule — `(epoch, round, worker,
-    /// sample)` quadruples in order. Re-certifying the same deterministic
-    /// stream must reproduce this digest bit-exactly.
+    /// FNV-1a digest of the inspected schedule: its block grid and blocks
+    /// for a block stream, its `(epoch, round, worker, sample)` quadruples
+    /// in order for any other (see the module docs). Re-certifying the
+    /// same deterministic stream must reproduce this digest bit-exactly.
     pub schedule_digest: u64,
 }
 
@@ -213,20 +228,24 @@ impl RoundClaims {
 }
 
 /// The prover: the per-round claim scan, the first [`ConflictWitness`],
-/// and the FNV-1a fold of every `(epoch, round, worker, sample)` into the
-/// schedule digest.
+/// and the FNV-1a fold of the schedule digest (see the module docs for
+/// what it covers).
 ///
 /// It is fed epoch by epoch, in ascending order (the digest is a fold),
 /// either round by round from [`UpdateStream::next`]
 /// ([`Certifier::drive`], the replay [`certify`] runs) or, for an epoch
 /// whose blocks are [overlap-free](EpochBlocks::overlap_free), from its
-/// block schedule (what the solver runs beside execution). Both reach the
-/// same verdict bit for bit.
+/// block schedule (what the solver runs before executing it). Both reach
+/// the same verdict bit for bit. One certifier checks one stream over one
+/// data set, so a block stream's grid is folded once, with its first
+/// epoch.
 #[derive(Debug, Clone)]
 pub struct Certifier {
     /// Counts so far; the certificate once all epochs are in.
     cert: ConflictCert,
     digest: Fnv1a,
+    /// Whether the block grid is in the digest yet.
+    grid_folded: bool,
     max_rounds_per_epoch: u64,
     claims: RoundClaims,
     /// `(worker, sample)` of each claim in `claims`.
@@ -246,6 +265,7 @@ impl Certifier {
                 ..ConflictCert::trivial(schedule)
             },
             digest: Fnv1a::new(),
+            grid_folded: false,
             max_rounds_per_epoch,
             claims: RoundClaims::with_capacity(workers),
             owners: Vec::with_capacity(workers),
@@ -280,8 +300,7 @@ impl Certifier {
 
     /// Checks that `worker`'s `sample` of the current round shares no P
     /// row or Q column with an earlier sample of the round. The first
-    /// collision becomes the witness; until then every sample is folded
-    /// into the digest.
+    /// collision becomes the witness; until then every sample is counted.
     fn claim(&mut self, data: &CooMatrix, worker: usize, sample: usize) {
         let nnz = data.nnz();
         assert!(
@@ -313,19 +332,48 @@ impl Certifier {
                     axis,
                 });
             }
-            None => self.fold(worker, sample),
+            None => self.cert.samples += 1,
         }
     }
 
+    /// Folds one sample of a stream without a block schedule.
     #[inline]
-    fn fold(&mut self, worker: usize, sample: usize) {
-        self.cert.samples += 1;
+    fn fold_sample(&mut self, worker: usize, sample: usize) {
         self.digest = self
             .digest
             .u64(u64::from(self.epoch))
             .u64(self.round)
             .u64(worker as u64)
             .u64(sample as u64);
+    }
+
+    /// Folds the current epoch of a block stream: `grid` the first time,
+    /// then every block of `blocks`.
+    fn fold_blocks(&mut self, grid: &BlockGrid, blocks: &EpochBlocks) {
+        let mut h = self.digest;
+        if !self.grid_folded {
+            self.grid_folded = true;
+            h = h.u64(grid.rows().into()).u64(grid.cols().into());
+            for &b in grid.row_bounds().iter().chain(grid.col_bounds()) {
+                h = h.u64(b.into());
+            }
+            for cell in 0..grid.cells() as u32 {
+                let ((r, c), samples) = (grid.cell_pos(cell), grid.cell(cell));
+                h = h.u64(r.into()).u64(c.into()).u64(samples.len() as u64);
+                for &s in samples {
+                    h = h.u64(s.into());
+                }
+            }
+        }
+        h = h.u64(self.epoch.into());
+        for b in blocks.blocks() {
+            h = h
+                .u64(b.worker.into())
+                .u64(b.cell.into())
+                .u64(b.start)
+                .u64(b.len.into());
+        }
+        self.digest = h;
     }
 
     fn end_round(&mut self) {
@@ -359,6 +407,7 @@ impl Certifier {
 
     /// Checks epoch `epoch` of `stream`, already begun, round by round
     /// with the per-sample claim scan, stopping at the first collision.
+    /// A block stream's epoch is folded from its blocks once it passes.
     pub(crate) fn drive_epoch<S: UpdateStream + ?Sized>(
         &mut self,
         data: &CooMatrix,
@@ -366,6 +415,7 @@ impl Certifier {
         stream: &mut S,
     ) {
         self.begin_epoch(epoch);
+        let per_sample = stream.blocks().is_none();
         let mut exhausted = vec![false; stream.workers()];
         let mut live = exhausted.len();
         while live > 0 {
@@ -380,6 +430,9 @@ impl Certifier {
                         if self.is_refuted() {
                             return;
                         }
+                        if per_sample {
+                            self.fold_sample(w, i);
+                        }
                     }
                     StreamItem::Stall => {}
                     StreamItem::Exhausted => {
@@ -390,13 +443,16 @@ impl Certifier {
             }
             self.end_round();
         }
+        if let Some((grid, blocks)) = stream.blocks() {
+            self.fold_blocks(grid, blocks);
+        }
     }
 
     /// Certifies epoch `epoch` from its block schedule over `grid`, which
     /// must be [overlap-free](EpochBlocks::overlap_free): such an epoch
-    /// cannot collide, so its samples are folded into the digest in
-    /// round-major order with no claim scan, reaching the verdict
-    /// [`Certifier::drive`] reaches replaying it round by round.
+    /// cannot collide, so its blocks are folded into the digest with no
+    /// claim scan, reaching the verdict [`Certifier::drive`] reaches
+    /// replaying it round by round.
     ///
     /// # Panics
     ///
@@ -411,11 +467,9 @@ impl Certifier {
         self.begin_epoch(epoch);
         let rounds = blocks.rounds();
         self.check_rounds(rounds);
-        blocks.round_major(grid, |round, worker, sample| {
-            self.round = round;
-            self.fold(worker, sample as usize);
-        });
         self.cert.rounds += rounds;
+        self.cert.samples += blocks.samples();
+        self.fold_blocks(grid, blocks);
     }
 
     /// The verdict over every epoch fed so far: the first witness, or the
@@ -532,7 +586,8 @@ pub fn resolve_exec_mode<S: UpdateStream + ?Sized>(
 mod tests {
     use super::*;
     use crate::sched::{
-        BatchHogwildStream, LibmfTableStream, SerialStream, UpdateStream, WavefrontStream,
+        BatchHogwildStream, LibmfTableStream, ScheduledBlock, SerialStream, UpdateStream,
+        WavefrontStream,
     };
 
     fn matrix(m: u32, n: u32, nnz: usize) -> CooMatrix {
@@ -639,6 +694,74 @@ mod tests {
         let (mode, verdict) = resolve_exec_mode(&data, &mut s, ExecMode::StaleAdditive, 5);
         assert_eq!(mode, ExecMode::StaleAdditive);
         assert!(verdict.is_none());
+    }
+
+    /// A 4×4 matrix whose 2×2 grid holds samples 0–1 in cell 0, 2 in
+    /// cell 1, 3 in cell 2 and 4–5 in cell 3; `moved` puts sample 1 in
+    /// cell 1 instead.
+    fn grid_2x2(moved: bool) -> BlockGrid {
+        let mut coo = CooMatrix::new(4, 4);
+        let col = if moved { 3 } else { 1 };
+        for (u, v) in [(0, 0), (1, col), (0, 2), (2, 0), (2, 2), (3, 3)] {
+            coo.push(u, v, 1.0);
+        }
+        BlockGrid::build(&coo, 2, 2)
+    }
+
+    /// The schedule digest of one overlap-free epoch of three workers,
+    /// given as blocks `(start, worker, cell, len)`.
+    fn block_digest(grid: &BlockGrid, blocks: [(u64, u32, u32, u32); 4]) -> u64 {
+        let blocks = blocks
+            .iter()
+            .map(|&(start, worker, cell, len)| ScheduledBlock {
+                start,
+                worker,
+                cell,
+                len,
+            })
+            .collect();
+        let mut c = Certifier::new("blocks", 3, 100);
+        c.certify_overlap_free(0, grid, &EpochBlocks::new(blocks, vec![4; 3]));
+        c.verdict()
+            .certificate()
+            .expect("no claim scan")
+            .schedule_digest
+    }
+
+    #[test]
+    fn block_digest_changes_under_every_schedule_mutation() {
+        let grid = grid_2x2(false);
+        let cells = |g: &BlockGrid| (0..4).map(|c| g.cell(c).to_vec()).collect::<Vec<_>>();
+        assert_eq!(cells(&grid), [vec![0, 1], vec![2], vec![3], vec![4, 5]]);
+        assert_eq!(
+            cells(&grid_2x2(true)),
+            [vec![0], vec![1, 2], vec![3], vec![4, 5]]
+        );
+        // Workers 0 and 1 sweep the diagonal cells, then the other two.
+        let base = [(0, 0, 0, 2), (0, 1, 3, 2), (2, 0, 1, 1), (2, 1, 2, 1)];
+        let digest = block_digest(&grid, base);
+        assert_eq!(block_digest(&grid_2x2(false), base), digest);
+        let mutants = [
+            (
+                "sample moved between cells",
+                block_digest(&grid_2x2(true), base),
+            ),
+            (
+                "block start shifted",
+                block_digest(&grid, [base[0], base[1], base[2], (3, 1, 2, 1)]),
+            ),
+            (
+                "block worker reassigned",
+                block_digest(&grid, [base[0], base[1], base[2], (2, 2, 2, 1)]),
+            ),
+            (
+                "two blocks' cells swapped",
+                block_digest(&grid, [(0, 0, 3, 2), (0, 1, 0, 2), base[2], base[3]]),
+            ),
+        ];
+        for (mutation, mutant) in mutants {
+            assert_ne!(mutant, digest, "{mutation}");
+        }
     }
 
     #[test]

@@ -614,7 +614,7 @@ mod tests {
         0x3fceb64cf5a12298,
         0x3fca43f0e7696dea,
     ];
-    const GOLDEN_SCHEDULE_DIGEST: u64 = 17_913_974_579_879_280_001;
+    const GOLDEN_SCHEDULE_DIGEST: u64 = 16_988_759_886_610_882_926;
 
     fn small_dataset() -> cumf_data::synth::SynthDataset {
         generate(&SynthConfig {

@@ -454,10 +454,10 @@ fn certificate_digests_are_pinned() {
     assert_eq!(
         printed_digests(&prover_section(42)),
         [
-            "99a67c910ad7b8b0",
-            "d742f07d3729caa4",
-            "db2a43a699c0690d",
-            "3f2ec36ee4328ed1",
+            "94846536fc9183d3",
+            "95fb5d1751926e4e",
+            "1d555708266fad81",
+            "b5a906c9967bfb56",
         ]
     );
     // Order certificate, then liveness certificate, per shipped protocol.
