@@ -119,9 +119,11 @@ impl DatasetSpec {
     /// a rank-1 component, so a rank-`k_small` model retains capacity to
     /// reach the noise floor exactly.
     ///
-    /// Panics with [`Self::check_scale`]'s message.
+    /// Panics with [`Self::check_scale`]'s or [`Self::check_k`]'s message.
     pub fn scaled_config(&self, scale: f64, k_small: u32, seed: u64) -> SynthConfig {
-        Self::check_scale(scale).unwrap_or_else(|e| panic!("{e}"));
+        Self::check_scale(scale)
+            .and_then(|()| Self::check_k(k_small))
+            .unwrap_or_else(|e| panic!("{e}"));
         let floor = 12 * k_small;
         let m = ((self.m as f64 * scale).round() as u32).max(floor);
         let n = ((self.n as f64 * scale).round() as u32).max(floor);
@@ -148,6 +150,16 @@ impl DatasetSpec {
             Ok(())
         } else {
             Err(format!("scale must be in (0, 1], got {scale}"))
+        }
+    }
+
+    /// The stand-in's one rule on `k_small`: it is positive, since a
+    /// rank-0 model has nothing to train.
+    pub fn check_k(k_small: u32) -> Result<(), String> {
+        if k_small > 0 {
+            Ok(())
+        } else {
+            Err("k must be positive".into())
         }
     }
 
@@ -259,5 +271,11 @@ mod tests {
     #[should_panic(expected = "scale must be")]
     fn scale_validated() {
         let _ = NETFLIX.scaled_config(0.0, 16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn k_validated() {
+        let _ = NETFLIX.scaled_config(0.01, 0, 0);
     }
 }

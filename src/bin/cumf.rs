@@ -240,6 +240,10 @@ fn load_data(path: &str) -> Result<CooMatrix, String> {
     loader.map_err(|e| format!("loading {path}: {e}"))
 }
 
+fn load_model<E: cumf_sgd::core::Element>(path: &str) -> Result<Model<E>, String> {
+    load_model_file(path).map_err(|e| format!("loading model {path}: {e}"))
+}
+
 fn parse_preset(flags: &Flags) -> Result<&'static DatasetSpec, String> {
     match get(flags, "preset", "netflix") {
         "netflix" => Ok(&NETFLIX),
@@ -254,6 +258,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let scale: f64 = get_parse(flags, "scale", 0.01)?;
     DatasetSpec::check_scale(scale)?;
     let k: u32 = get_parse(flags, "k", 16)?;
+    DatasetSpec::check_k(k)?;
     let seed: u64 = get_parse(flags, "seed", 42)?;
     let out = get(flags, "out", "train.bin");
     let test_out = get(flags, "test-out", "test.bin");
@@ -517,6 +522,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         .or_insert_with(|| "8".to_string());
     let config = parse_solver_config(&profile_flags, 5)?;
     let (k, seed) = (config.k, config.seed);
+    DatasetSpec::check_k(k)?;
     obs::set_enabled(true);
     let d = preset.scaled(scale, k, seed);
     println!(
@@ -810,7 +816,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let (p_shards, q_shards) = parse_shard_grid(get(flags, "shards", "4x2"))?;
     let model: ShardedModel<f32> = match flags.get("model") {
         Some(path) => {
-            let m: Model<f32> = load_model_file(path).map_err(|e| e.to_string())?;
+            let m: Model<f32> = load_model(path)?;
             check_grid(p_shards, q_shards, m.p.rows(), m.q.rows())?;
             ShardedModel::new(m.p, m.q, p_shards, q_shards, None)
         }
@@ -910,10 +916,10 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let data = load_data(get(flags, "data", "test.bin"))?;
     let path = get(flags, "model", "model.cmfm");
     let r = if flags.contains_key("f16") {
-        let model: Model<F16> = load_model_file(path).map_err(|e| e.to_string())?;
+        let model: Model<F16> = load_model(path)?;
         rmse(&data, &model.p, &model.q)
     } else {
-        let model: Model<f32> = load_model_file(path).map_err(|e| e.to_string())?;
+        let model: Model<f32> = load_model(path)?;
         rmse(&data, &model.p, &model.q)
     };
     println!("RMSE over {} samples: {r:.4}", data.nnz());
@@ -925,11 +931,11 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
     let u: u32 = get_parse(flags, "user", 0)?;
     let v: u32 = get_parse(flags, "item", 0)?;
     let pred = if flags.contains_key("f16") {
-        let model: Model<F16> = load_model_file(path).map_err(|e| e.to_string())?;
+        let model: Model<F16> = load_model(path)?;
         check_bounds(&model, u, v)?;
         model.predict(u, v)
     } else {
-        let model: Model<f32> = load_model_file(path).map_err(|e| e.to_string())?;
+        let model: Model<f32> = load_model(path)?;
         check_bounds(&model, u, v)?;
         model.predict(u, v)
     };

@@ -262,7 +262,7 @@ fn cli_rejects_bad_training_flags_with_typed_errors() {
     let train_bin = dir.join("train.bin");
     write_binary_file(&train_bin, &d.train).unwrap();
     let data = train_bin.to_str().unwrap();
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["train", "--data", data, "--k", "0"], "k must be positive"),
         (
             &[
@@ -294,6 +294,16 @@ fn cli_rejects_bad_training_flags_with_typed_errors() {
         ),
         (&["profile", "--workers", "0"], "need at least one worker"),
         (&["generate", "--scale", "0"], "scale must be in (0, 1]"),
+        (&["generate", "--k", "0"], "k must be positive"),
+        (&["profile", "--k", "0"], "k must be positive"),
+        (
+            &["evaluate", "--model", "missing.cmfm", "--data", data],
+            "loading model missing.cmfm",
+        ),
+        (
+            &["predict", "--model", "missing.cmfm", "--f16"],
+            "loading model missing.cmfm",
+        ),
     ];
     for (args, rule) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cumf"))
