@@ -133,6 +133,39 @@ impl F16 {
         f32::from_bits(sign | bits)
     }
 
+    /// `value` rounded to the nearest binary16 value, as f32: bit for bit
+    /// `F16::from_f32(value).to_f32()`, without the round trip through
+    /// the 16-bit pattern. What the stale-additive engine writes into its
+    /// f32 working rows when P and Q are stored in binary16.
+    ///
+    /// Branch-free like [`F16::from_f32`], and one rounding add for every
+    /// finite input: for `|x|` in `[2^e, 2^(e+1))`, adding `m = 2^(e+13)`
+    /// puts the f32 ulp of the sum on the binary16 step `2^(e−10)`, so the
+    /// FPU's round-to-nearest-even add rounds `|x|` onto the binary16
+    /// grid, and subtracting `m` again is exact. Below 2⁻¹⁴ the step stays
+    /// 2⁻²⁴, so `e` is clamped at −14 (`m = 0.5`, `from_f32`'s subnormal
+    /// add). A result of 65536 or more is out of range and becomes ±∞;
+    /// NaN (any payload) becomes the quiet NaN `from_f32` produces,
+    /// widened.
+    #[inline]
+    pub fn round_f32(value: f32) -> f32 {
+        let bits = value.to_bits();
+        let sign = bits & 0x8000_0000;
+        let abs = bits & 0x7FFF_FFFF;
+        let exp = abs & 0x7F80_0000;
+        let m = if exp > 113 << 23 { exp } else { 113 << 23 } + (13 << 23);
+        let m = f32::from_bits(m);
+        let rounded = ((f32::from_bits(abs) + m) - m).to_bits();
+        let out = if abs > 0x7F80_0000 {
+            0x7FC0_0000
+        } else if rounded >= 143 << 23 {
+            0x7F80_0000
+        } else {
+            rounded
+        };
+        f32::from_bits(sign | out)
+    }
+
     /// True if this value is NaN.
     pub fn is_nan(self) -> bool {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0

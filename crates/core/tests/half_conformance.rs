@@ -21,6 +21,10 @@
 //! the f32 space by default, and on all 2³² inputs in the `#[ignore]`d
 //! exhaustive test (run it in release:
 //! `cargo test --release -p cumf-core --test half_conformance -- --ignored`).
+//!
+//! The store rounding `F16::round_f32`, which the stale-additive engine
+//! applies to its f32 working rows, must equal `from_f32` then `to_f32`
+//! bit for bit on the same two input sets.
 
 use cumf_core::half::{F16_MAX_F32, F16_MIN_POSITIVE_SUBNORMAL_F32};
 use cumf_core::F16;
@@ -116,6 +120,17 @@ fn assert_narrow_matches_legacy(bits: u32) {
     );
 }
 
+/// Asserts the fused store rounding equals narrowing then widening on
+/// the f32 with bit pattern `bits`, NaN payloads and signs included.
+fn assert_round_matches_narrow_widen(bits: u32) {
+    let x = f32::from_bits(bits);
+    assert_eq!(
+        F16::round_f32(x).to_bits(),
+        F16::from_f32(x).to_f32().to_bits(),
+        "f32 bits {bits:#010x}"
+    );
+}
+
 #[test]
 fn widen_matches_legacy_on_all_patterns() {
     for h in 0..=u16::MAX {
@@ -160,6 +175,40 @@ fn narrow_matches_legacy_on_strided_f32_space() {
 fn narrow_matches_legacy_on_every_f32() {
     for bits in 0..=u32::MAX {
         assert_narrow_matches_legacy(bits);
+    }
+}
+
+#[test]
+fn store_rounding_matches_narrow_widen_on_strided_f32_space() {
+    // Every binary16 value and every midpoint between neighbours, each
+    // ±2 f32 ulps, in both signs (the overflow midpoint 65520 and the
+    // Inf/NaN patterns included), then every 4099th f32 bit pattern.
+    for h in 0..=0x7C00u16 {
+        let value = F16::from_bits(h).to_f32();
+        let next = if h == 0x7BFF {
+            65536.0
+        } else {
+            f64::from(F16::from_bits(h + 1).to_f32())
+        };
+        let mid = ((f64::from(value) + next) / 2.0) as f32;
+        for centre in [value.to_bits(), mid.to_bits()] {
+            for delta in -2i32..=2 {
+                let bits = centre.wrapping_add_signed(delta);
+                assert_round_matches_narrow_widen(bits);
+                assert_round_matches_narrow_widen(bits ^ 0x8000_0000);
+            }
+        }
+    }
+    for bits in (0..=u32::MAX).step_by(4099) {
+        assert_round_matches_narrow_widen(bits);
+    }
+}
+
+#[test]
+#[ignore = "all 2^32 f32 inputs: run in release"]
+fn store_rounding_matches_narrow_widen_on_every_f32() {
+    for bits in 0..=u32::MAX {
+        assert_round_matches_narrow_widen(bits);
     }
 }
 
