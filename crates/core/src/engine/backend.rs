@@ -31,7 +31,9 @@ use crate::partition::{schedule_epoch, WaveSchedule};
 use crate::sched::{Axis, BatchHogwildStream, BlockGrid, Certifier, StreamItem, UpdateStream};
 use crate::{SgdUpdateCost, Verdict};
 
-use super::exec::{block_epoch, sequential_epoch, stale_additive_epoch, ExecEngine};
+use super::exec::{
+    block_epoch, sequential_epoch, stale_additive_rounds, ExecEngine, WorkingRows, WorkingView,
+};
 use super::model::EngineModel;
 
 /// What one epoch produced: execution statistics plus, for backends with
@@ -242,6 +244,8 @@ pub struct PartitionedBackend<'a, E: Element> {
     link: &'a LinkSpec,
     rng: ChaCha8Rng,
     epoch_seed: Option<u64>,
+    /// The f32 working copy every cell of an epoch updates.
+    rows: WorkingRows,
     _marker: std::marker::PhantomData<E>,
 }
 
@@ -274,6 +278,7 @@ impl<'a, E: Element> PartitionedBackend<'a, E> {
             link,
             rng,
             epoch_seed: None,
+            rows: WorkingRows::default(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -291,15 +296,15 @@ impl<'a, E: Element> PartitionedBackend<'a, E> {
     }
 
     /// Runs one cell's SGD updates with batch-Hogwild! semantics confined
-    /// to the cell's coordinate window, in place on the global P/Q rows
-    /// (the device-side segments being written back, §6.1).
+    /// to the cell's coordinate window, in place on the epoch's working
+    /// P/Q rows (the device-side segments being written back, §6.1).
     fn execute_block(
         &self,
         cell: u32,
         epoch: u32,
         gamma: f32,
         lambda: f32,
-        model: &mut EngineModel<E>,
+        rows: &mut WorkingView<'_>,
     ) -> u64 {
         let samples = self.grid.cell(cell);
         if samples.is_empty() {
@@ -311,7 +316,7 @@ impl<'a, E: Element> PartitionedBackend<'a, E> {
             inner: BatchHogwildStream::new(samples.len(), workers, self.batch as usize),
         };
         stream.begin_epoch(epoch);
-        let stats = stale_additive_epoch(self.data, model.view(), &mut stream, gamma, lambda);
+        let stats = stale_additive_rounds::<E, _>(self.data, rows, &mut stream, gamma, lambda);
         stats.updates
     }
 }
@@ -364,13 +369,18 @@ impl<E: Element> EpochBackend<E> for PartitionedBackend<'_, E> {
         };
 
         // --- Convergence: execute every block's updates (wave by wave;
-        // independence makes program order exact).
+        // independence makes program order exact) on one working copy of
+        // P and Q, widened and narrowed once for the whole epoch.
         let mut stats = EpochStats::default();
-        for wave in &schedule.waves {
-            for &cell in wave.iter().flatten() {
-                stats.updates += self.execute_block(cell, epoch, gamma, lambda, model);
+        let mut working = std::mem::take(&mut self.rows);
+        working.run(model.view(), |rows| {
+            for wave in &schedule.waves {
+                for &cell in wave.iter().flatten() {
+                    stats.updates += self.execute_block(cell, epoch, gamma, lambda, rows);
+                }
             }
-        }
+        });
+        self.rows = working;
 
         // --- Timing: per-GPU pipeline of its assigned blocks.
         let timing = epoch_timing(
@@ -520,6 +530,75 @@ mod tests {
                 assert_eq!(backend.into_certifier().verdict(), replayed, "{at}");
             }
         }
+    }
+
+    /// The partitioned backend at 1 and 2 GPUs against the oracle run
+    /// cell by cell on the same wave schedules: identical updates and bits
+    /// after every epoch, unbiased and biased, with P poisoned before the
+    /// second epoch.
+    fn partitioned_matches_oracle<E: Element>(untouched: E, touched: E) {
+        use super::super::exec::tests::{
+            collision_heavy, model_bits, poison, stale_additive_oracle, with_untouched_row,
+        };
+        let d = collision_heavy();
+        let data = &d.train;
+        let grid = BlockGrid::build(data, 2, 2);
+        let cost = SgdUpdateCost::cumf(8);
+        let gpu = cumf_gpu_sim::TITAN_X_MAXWELL;
+        let link = cumf_gpu_sim::PCIE3_X16;
+        for gpus in [1, 2] {
+            for biased in [false, true] {
+                let mut rng = ChaCha8Rng::seed_from_u64(5);
+                let init: EngineModel<E> = if biased {
+                    EngineModel::init_biased(data, 8, &mut rng)
+                } else {
+                    EngineModel::init_unbiased(data, 8, &mut rng)
+                };
+                let mut got = with_untouched_row(&init);
+                let mut want = got.clone();
+                let mut backend = PartitionedBackend::<E>::new(
+                    data,
+                    &grid,
+                    gpus,
+                    4,
+                    16,
+                    true,
+                    cost,
+                    &gpu,
+                    &link,
+                    rng.clone(),
+                );
+                for epoch in 0..3 {
+                    if epoch == 1 {
+                        poison(&mut got, untouched, touched);
+                        poison(&mut want, untouched, touched);
+                    }
+                    let updates = backend.run_epoch(epoch, 0.03, 0.02, &mut got).stats.updates;
+                    let schedule = schedule_epoch(&grid, gpus, &mut rng);
+                    let mut oracle_updates = 0;
+                    for &cell in schedule.waves.iter().flatten().flatten() {
+                        let samples = grid.cell(cell);
+                        let mut stream = CellStream {
+                            samples,
+                            inner: BatchHogwildStream::new(samples.len(), 4.min(samples.len()), 16),
+                        };
+                        stream.begin_epoch(epoch);
+                        oracle_updates +=
+                            stale_additive_oracle(data, want.view(), &mut stream, 0.03, 0.02)
+                                .updates;
+                    }
+                    let at = format!("{} on {gpus} GPUs, biased={biased}, epoch {epoch}", E::NAME);
+                    assert_eq!(updates, oracle_updates, "{at}");
+                    assert_eq!(model_bits(&got), model_bits(&want), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_epochs_match_the_per_sample_oracle() {
+        partitioned_matches_oracle::<f32>(f32::from_bits(0x7F80_0001), f32::NEG_INFINITY);
+        partitioned_matches_oracle::<F16>(F16::from_bits(0x7C01), F16::NEG_INFINITY);
     }
 
     #[test]

@@ -181,12 +181,27 @@ pub type ConflictVerdict = Verdict<ConflictCert, ConflictWitness>;
 /// One round's claims on P rows and Q columns, in the order workers
 /// took their samples.
 ///
-/// A round holds at most one sample per worker, so the claims are two
-/// short parallel vectors and a linear scan beats hashing or sorting.
-#[derive(Debug, Clone, Default)]
+/// Every P row and Q column carries a stamp: the last round that claimed
+/// it and the position of its first claim in that round. Starting a
+/// round bumps the round number, so it forgets every claim at once, and a
+/// claim is one stamp check per axis, O(1) whatever the worker count.
+/// The stamp tables grow to the largest row and column claimed.
+#[derive(Debug, Clone)]
 pub struct RoundClaims {
-    rows: Vec<u32>,
-    cols: Vec<u32>,
+    /// The current round's number; stamps from other rounds are stale.
+    round: u32,
+    /// Claims made in the current round.
+    len: u32,
+    rows: Vec<Stamp>,
+    cols: Vec<Stamp>,
+}
+
+/// The last round that claimed a P row or Q column, and the position of
+/// its first claim in that round.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamp {
+    round: u32,
+    first: u32,
 }
 
 /// The earlier claims a new sample collided with in its round: the
@@ -200,30 +215,57 @@ pub struct Clash {
     pub col: Option<usize>,
 }
 
-impl RoundClaims {
-    /// Empty claims sized for `workers` samples per round.
-    pub fn with_capacity(workers: usize) -> Self {
+impl Default for RoundClaims {
+    /// No claims; round 0 is the stamp of never-claimed rows, so the
+    /// first round is 1.
+    fn default() -> Self {
         RoundClaims {
-            rows: Vec::with_capacity(workers),
-            cols: Vec::with_capacity(workers),
+            round: 1,
+            len: 0,
+            rows: Vec::new(),
+            cols: Vec::new(),
         }
     }
+}
 
+impl RoundClaims {
     /// Forgets every claim (start of a new round).
     pub fn clear(&mut self) {
-        self.rows.clear();
-        self.cols.clear();
+        self.len = 0;
+        self.round = self.round.wrapping_add(1);
+        if self.round == 0 {
+            // After 2³² rounds the numbers wrap: drop the stale stamps.
+            *self = RoundClaims::default();
+        }
     }
 
     /// Records a sample touching P row `u` and Q column `v`, and reports
     /// what it collided with.
     #[inline]
     pub fn claim(&mut self, u: u32, v: u32) -> Clash {
-        let row = self.rows.iter().position(|&r| r == u);
-        let col = self.cols.iter().position(|&c| c == v);
-        self.rows.push(u);
-        self.cols.push(v);
-        Clash { row, col }
+        let at = self.len;
+        self.len += 1;
+        Clash {
+            row: stamp(&mut self.rows, u, self.round, at),
+            col: stamp(&mut self.cols, v, self.round, at),
+        }
+    }
+}
+
+/// Stamps entry `i` of `stamps` with claim `at` of `round`, unless this
+/// round already claimed it; returns the position of that earlier claim.
+#[inline]
+fn stamp(stamps: &mut Vec<Stamp>, i: u32, round: u32, at: u32) -> Option<usize> {
+    let i = i as usize;
+    if i >= stamps.len() {
+        stamps.resize(i + 1, Stamp::default());
+    }
+    let s = &mut stamps[i];
+    if s.round == round {
+        Some(s.first as usize)
+    } else {
+        *s = Stamp { round, first: at };
+        None
     }
 }
 
@@ -267,7 +309,7 @@ impl Certifier {
             digest: Fnv1a::new(),
             grid_folded: false,
             max_rounds_per_epoch,
-            claims: RoundClaims::with_capacity(workers),
+            claims: RoundClaims::default(),
             owners: Vec::with_capacity(workers),
             witness: None,
             epoch: 0,
@@ -589,6 +631,26 @@ mod tests {
         BatchHogwildStream, LibmfTableStream, ScheduledBlock, SerialStream, UpdateStream,
         WavefrontStream,
     };
+
+    #[test]
+    fn round_claims_report_the_first_earlier_claim() {
+        let clash = |row, col| Clash { row, col };
+        let mut claims = RoundClaims::default();
+        for round in 0..2 {
+            if round == 1 {
+                // The stamps forget the round at once, also when its
+                // number wraps.
+                claims.round = u32::MAX;
+            }
+            claims.clear();
+            assert_eq!(claims.claim(4, 7), clash(None, None));
+            assert_eq!(claims.claim(9, 2), clash(None, None));
+            assert_eq!(claims.claim(4, 3), clash(Some(0), None));
+            assert_eq!(claims.claim(5, 2), clash(None, Some(1)));
+            // The first claim on an axis, not the latest.
+            assert_eq!(claims.claim(4, 2), clash(Some(0), Some(1)));
+        }
+    }
 
     fn matrix(m: u32, n: u32, nnz: usize) -> CooMatrix {
         let mut coo = CooMatrix::new(m, n);
