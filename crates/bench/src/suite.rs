@@ -9,11 +9,12 @@
 //!   link, plus two *sim-domain* metrics (modelled link bandwidth and
 //!   sim end time) that are bit-deterministic across runs.
 //! * **`train`** — the paper's currency (§6): `sgd_update` updates/sec
-//!   per precision, epoch wall time on a small synthetic problem, and
-//!   the machine-model updates/sec (sim-domain, deterministic).
+//!   per precision, batch-Hogwild! epoch wall time per precision on a
+//!   small synthetic problem, and the machine-model updates/sec
+//!   (sim-domain, deterministic).
 //! * **`serve`** — the serving layer: closed-loop QPS and p99 latency
 //!   on sim time (deterministic), plus host wall-clock throughput of
-//!   the blocked top-N scorer.
+//!   the top-N scan on a model of the `serve-zipf` workload's shape.
 //!
 //! Wall-domain metrics measure this machine and carry MAD-sized noise;
 //! sim-domain metrics are pure f64 arithmetic and must reproduce
@@ -26,7 +27,7 @@ use cumf_core::half::F16;
 use cumf_core::kernel::sgd_update;
 use cumf_core::lrate::Schedule;
 use cumf_core::solver::{train, Scheme, SolverConfig, TimeModel};
-use cumf_core::Element;
+use cumf_core::{Element, FactorMatrix};
 use cumf_data::synth::{generate, SynthConfig, SynthDataset};
 use cumf_des::{Block, Ctx, EventId, EventQueue, LinkId, Process, ServerId, SimTime, Simulation};
 use cumf_gpu_sim::{SgdUpdateCost, TITAN_X_MAXWELL};
@@ -404,11 +405,13 @@ fn bench_config(epochs: u32) -> SolverConfig {
     }
 }
 
-fn epoch_wall_seconds(quick: bool) -> f64 {
+/// Wall seconds per batch-Hogwild! epoch, which `train()` runs on the
+/// stale-additive engine, with P and Q stored as `E`.
+fn epoch_wall_seconds<E: Element>(quick: bool) -> f64 {
     let d = bench_dataset(quick);
     let cfg = bench_config(2);
     let t0 = Instant::now();
-    let res = train::<f32>(&d.train, &d.test, &cfg, None);
+    let res = train::<E>(&d.train, &d.test, &cfg, None);
     let secs = t0.elapsed().as_secs_f64();
     assert!(!res.diverged, "bench training must not diverge");
     secs / cfg.epochs as f64
@@ -447,12 +450,33 @@ fn serve_sim_p99_ms(quick: bool) -> f64 {
     serve_report(quick).p(0.99) * 1e3
 }
 
+/// A model of the end-to-end `serve-zipf` workload's shape: 50,000 users,
+/// 4,000 items, k = 32, sharded 4×2, the planted factors of a synthetic
+/// data set with its item degrees as the popularity prior. Its scan, not
+/// per-query overhead, sets the top-N rate.
+fn serve_zipf_model() -> cumf_serve::ShardedModel<f32> {
+    let (users, items, k) = (50_000, 4_000, 32);
+    let d = generate(&SynthConfig {
+        m: users,
+        n: items,
+        k_true: k,
+        train_samples: 200_000,
+        test_samples: 0,
+        seed: crate::SEED,
+        ..SynthConfig::default()
+    });
+    let p = FactorMatrix::<f32>::from_f32_slice(users, k, &d.p_true);
+    let q = FactorMatrix::<f32>::from_f32_slice(items, k, &d.q_true);
+    let prior = d.train.col_degrees().iter().map(|&n| n as f32).collect();
+    cumf_serve::ShardedModel::new(p, q, 4, 2, Some(prior))
+}
+
 /// Full-quality answers as the service scores them: every Q-shard's
-/// interleaved scan merged into one top-10.
+/// interleaved scan merged into one top-10, on the `serve-zipf` shape.
 fn serve_topn_queries_per_sec(quick: bool) -> f64 {
-    let model = cumf_serve::chaos::synth_model(crate::SEED, 4, 2);
+    let model = serve_zipf_model();
     let shards: Vec<u32> = (0..model.q_shards()).collect();
-    let queries: u64 = if quick { 2_000 } else { 10_000 };
+    let queries: u64 = if quick { 1_000 } else { 5_000 };
     let users = model.users();
     let t0 = Instant::now();
     for i in 0..queries {
@@ -543,7 +567,15 @@ pub fn cases() -> Vec<BenchCase> {
             unit: "s",
             domain: Domain::Wall,
             better: Better::Lower,
-            run: epoch_wall_seconds,
+            run: epoch_wall_seconds::<f32>,
+        },
+        BenchCase {
+            id: "epoch_wall_seconds_f16",
+            suite: "train",
+            unit: "s",
+            domain: Domain::Wall,
+            better: Better::Lower,
+            run: epoch_wall_seconds::<F16>,
         },
         BenchCase {
             id: "machine_model_updates_per_sec",
